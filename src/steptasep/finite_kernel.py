@@ -29,6 +29,7 @@ from math import comb
 import numpy as np
 
 from .combinatorics import as_fraction, fraction_determinant
+from .fredholm import det_discrete
 
 QUADRATURE_TOL = 1e-12
 RECONCILE_TOL = 1e-9
@@ -267,8 +268,8 @@ def kernel_K(t1, x1, t2, x2, rates, reconcile=True):
 def _windows(times, levels, m, pad):
     merged = {}
     for t, level in zip(times, levels):
-        if t < m:
-            raise ValueError(f"time {t} is below the tagged label {m}")
+        if t < m - 1:
+            raise ValueError(f"time {t} is below {m - 1}; no particle data")
         merged[int(t)] = max(merged.get(int(t), 0), int(level))
     blocks = []
     for t in sorted(merged):
@@ -276,7 +277,7 @@ def _windows(times, levels, m, pad):
         horizon = t - m + 1
         if level <= 0:
             continue
-        if level > horizon + 1:
+        if level > horizon:
             return None, True
         theta = horizon - level
         blocks.append((t, list(range(theta + 1, horizon + 1 + pad))))
@@ -286,19 +287,21 @@ def _windows(times, levels, m, pad):
 def joint_probability(times, levels, rates, exact=False, pad=0):
     """Prob(L(t_i, M) >= l_i for all i) as a windowed Fredholm determinant.
 
-    Thresholds l <= 0 are vacuous; l > t-M+2 is impossible (the particle
-    moves at most once per step) and short-circuits to 0. With exact=True
-    and rational rates the value is a Fraction with no rounding at all.
+    Thresholds l <= 0 are vacuous; l > t-M+1 is impossible (the tagged
+    particle first moves at the step to time M and at most once per step,
+    so L(t) <= t-M+1) and short-circuits to 0. Times from M-1 on are
+    accepted. With exact=True and rational rates the value is a Fraction
+    with no rounding at all.
     """
     kern = FiniteKernel(rates)
     blocks, impossible = _windows(times, levels, kern.m, pad)
     if impossible:
         return Fraction(0) if exact else 0.0
-    points = [(t, x) for t, window in blocks for x in window]
-    if not points:
-        return Fraction(1) if exact else 1.0
-    n = len(points)
     if exact:
+        points = [(t, x) for t, window in blocks for x in window]
+        if not points:
+            return Fraction(1)
+        n = len(points)
         mat = [
             [
                 (Fraction(1) if i == j else Fraction(0))
@@ -308,11 +311,9 @@ def joint_probability(times, levels, rates, exact=False, pad=0):
             for i in range(n)
         ]
         return fraction_determinant(mat)
-    mat = np.eye(n)
-    for i, (ti, xi) in enumerate(points):
-        for j, (tj, xj) in enumerate(points):
-            mat[i, j] -= float(kern.entry(ti, xi, tj, xj))
-    return float(np.linalg.det(mat))
+    ts = [t for t, _ in blocks]
+    return det_discrete(lambda i, x, j, y: float(kern.entry(ts[i], x, ts[j], y)),
+                        [window for _, window in blocks])
 
 
 def prob_tagged_at_least(t, level, rates, exact=False):

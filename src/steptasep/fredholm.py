@@ -85,6 +85,9 @@ def det_continuous(block, taus, esses, lcut=10.0, order=40, tol=1e-8):
     """
     if len(taus) != len(esses):
         raise ValueError("times and thresholds must align")
+    if not all(math.isfinite(x) for x in (*taus, *esses)):
+        raise ValueError(f"times and thresholds must be finite: "
+                         f"{list(taus)}, {list(esses)}")
     if not taus:
         return 1.0
     coarse = _det_once(block, taus, esses, lcut, order)
@@ -138,6 +141,8 @@ def ks_distance(samples, cdf):
     n = len(xs)
     if n == 0:
         raise ValueError("needs at least one sample")
+    if np.isnan(xs).any():
+        raise ValueError("samples contain NaN")
     f = np.asarray([cdf(x) for x in xs], dtype=float)
     up = np.max(np.arange(1, n + 1) / n - f)
     down = np.max(f - np.arange(0, n) / n)

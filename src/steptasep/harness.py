@@ -145,12 +145,16 @@ def config_from_dict(data):
     return ExperimentConfig(**kwargs)
 
 
-def load_config(path):
+def _read_json_object(path):
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a flat JSON object")
-    return config_from_dict(data)
+    return data
+
+
+def load_config(path):
+    return config_from_dict(_read_json_object(path))
 
 
 def resolve_config(mode, config_path=None, seed=None, out=None,
@@ -158,15 +162,10 @@ def resolve_config(mode, config_path=None, seed=None, out=None,
     """Combine mode defaults, a config file, and command-line overrides."""
     data = {}
     if config_path is not None:
-        with open(config_path) as fh:
-            file_data = json.load(fh)
-        if not isinstance(file_data, dict):
-            raise ValueError("config file must hold a flat JSON object")
-        if "mode" in file_data and file_data["mode"] != mode:
+        data = _read_json_object(config_path)
+        if "mode" in data and data["mode"] != mode:
             raise ValueError(
-                f"config file is for mode {file_data['mode']!r}, "
-                f"not {mode!r}")
-        data.update(file_data)
+                f"config file is for mode {data['mode']!r}, not {mode!r}")
     for key, value in _MODE_DEFAULTS.get(mode, {}).items():
         data.setdefault(key, value)
     data["mode"] = mode

@@ -8,81 +8,3 @@ and Gaussian/rank-n kernels beyond it.  This subpackage holds the kernel
 evaluators, the special functions they are built from, and the coordinate
 maps between lattice quantities and scaled variables.
 """
-
-from .special import (
-    airy_ai,
-    airy_ai_prime,
-    airy_pair,
-    airy_derivative,
-    hermite_h,
-    parabolic_d,
-    parabolic_d_zero,
-    psi1,
-    psi1_line_integral,
-    psi2,
-    psi2_sequence,
-)
-from .kernels import (
-    airy_laplace_complement,
-    extended_airy,
-    extended_airy_block,
-    gaussian_transition,
-    kernel_K3,
-    kernel_K3_block,
-    kernel_K3prime,
-    kernel_KG,
-    kernel_KG_block,
-    kernel_Kn,
-    kernel_Kn_block,
-    kernel_region1,
-    phi_poisson,
-    region1_matrix,
-    region1_prob,
-    region1_prob_onetime,
-)
-from .scaling import (
-    REGIONS,
-    ScaledExperiment,
-    coef_c,
-    coef_d,
-    coef_d1,
-    coef_dg,
-    continuous_coefs,
-)
-
-__all__ = [
-    "airy_ai",
-    "airy_ai_prime",
-    "airy_pair",
-    "airy_derivative",
-    "hermite_h",
-    "parabolic_d",
-    "parabolic_d_zero",
-    "psi1",
-    "psi1_line_integral",
-    "psi2",
-    "psi2_sequence",
-    "airy_laplace_complement",
-    "extended_airy",
-    "extended_airy_block",
-    "gaussian_transition",
-    "kernel_K3",
-    "kernel_K3_block",
-    "kernel_K3prime",
-    "kernel_KG",
-    "kernel_KG_block",
-    "kernel_Kn",
-    "kernel_Kn_block",
-    "kernel_region1",
-    "phi_poisson",
-    "region1_matrix",
-    "region1_prob",
-    "region1_prob_onetime",
-    "REGIONS",
-    "ScaledExperiment",
-    "coef_c",
-    "coef_d",
-    "coef_d1",
-    "coef_dg",
-    "continuous_coefs",
-]

@@ -285,10 +285,6 @@ def kernel_KG_block(tau1, xis1, tau2, xis2):
     return block
 
 
-def kernel_KG(tau1, xi1, tau2, xi2):
-    return float(kernel_KG_block(tau1, [xi1], tau2, [xi2])[0, 0])
-
-
 def _exp_quadratic_series(c_lin, length):
     """Taylor coefficients of exp(c_lin*h - h^2) up to h^(length-1)."""
     lin = np.zeros((np.size(c_lin), length), dtype=complex)
@@ -410,24 +406,16 @@ def kernel_region1(tau1, x1, tau2, x2):
     return total
 
 
-def region1_matrix(taus, levels):
-    """Block matrix of the discrete Hermite kernel on windows {0..l_j-1}."""
-    points = [(i, x) for i, ell in enumerate(levels) for x in range(ell)]
-    size = len(points)
-    mat = np.empty((size, size))
-    for a, (i, x) in enumerate(points):
-        for b, (j, y) in enumerate(points):
-            mat[a, b] = kernel_region1(taus[i], x, taus[j], y)
-    return mat
-
-
 def region1_prob(taus, levels):
-    """P(all onset distances >= l_j) as a finite determinant det(I - K)."""
+    """P(all onset distances >= l_j) as a finite determinant det(I - K)
+    on the windows {0..l_j-1}."""
+    from ..fredholm import det_discrete  # fredholm imports this module
+
     if len(taus) != len(levels):
         raise ValueError("times and levels must align")
-    levels = [max(0, int(ell)) for ell in levels]
-    mat = region1_matrix(taus, levels)
-    return float(np.linalg.det(np.eye(mat.shape[0]) - mat))
+    windows = [range(max(0, int(ell))) for ell in levels]
+    return det_discrete(
+        lambda i, x, j, y: kernel_region1(taus[i], x, taus[j], y), windows)
 
 
 def region1_prob_onetime(ell, tau):

@@ -26,9 +26,7 @@ scaled coordinates actually realized on the lattice.
 """
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..system import critical_scaled_time, defect_rates, mean_bulk, mean_defect
 
@@ -93,9 +91,6 @@ def continuous_coefs(u_tilde):
     c = 2.0 * u_tilde ** (5.0 / 6.0) * (root - 1.0) ** (1.0 / 3.0)
     d = u_tilde ** (1.0 / 6.0) * (root - 1.0) ** (2.0 / 3.0)
     return a, c, d
-
-
-_DEGENERATE = {"R3-degenerate", "R4-degenerate", "fixedM"}
 
 
 @dataclass(frozen=True)
@@ -210,53 +205,40 @@ class ScaledExperiment:
 
     # -- position maps ----------------------------------------------------
 
-    def level_of(self, s, t):
-        """Integer distance threshold matching scaled position s at time t."""
+    def _frame(self, t):
+        """(center, width) at lattice time t: level = center - width * s.
+
+        R1 uses (-0.0, -1.0) rather than (0, -1) so that level 0 maps to
+        s = +0.0, not -0.0.
+        """
         r = self.region
         m, q = self.m, self.q
         if r == "R1":
-            return int(round(s))
+            return -0.0, -1.0
         if r in ("R2", "R3", "R3-degenerate"):
-            uj = t / m
-            return int(round(mean_bulk(uj, q) * m
-                             - coef_d(self.u, q) * m ** (1 / 3) * s))
+            return (mean_bulk(t / m, q) * m,
+                    coef_d(self.u, q) * m ** (1 / 3))
         if r in ("R4", "R4-degenerate"):
             uj = t / m
-            return int(round(mean_defect(uj, q, self.qbar) * m
-                             - coef_dg(uj, q, self.qbar) * math.sqrt(m) * s))
+            return (mean_defect(uj, q, self.qbar) * m,
+                    coef_dg(uj, q, self.qbar) * math.sqrt(m))
         if r == "fixedM":
-            return int(round((1.0 - q) * t
-                             - s * math.sqrt(2.0 * q * (1.0 - q) * t)))
+            return (1.0 - q) * t, math.sqrt(2.0 * q * (1.0 - q) * t)
         if r == "continuousR2":
             uj = (1.0 - q) * t / m
-            aj = (math.sqrt(uj) - 1.0) ** 2
             _, _, d = continuous_coefs(self.u)
-            return int(round(aj * m - d * m ** (1 / 3) * s))
+            return (math.sqrt(uj) - 1.0) ** 2 * m, d * m ** (1 / 3)
         raise AssertionError(r)
+
+    def level_of(self, s, t):
+        """Integer distance threshold matching scaled position s at time t."""
+        center, width = self._frame(t)
+        return int(round(center - width * s))
 
     def s_of(self, ell, t):
         """Scaled position realized by integer distance ell at time t."""
-        r = self.region
-        m, q = self.m, self.q
-        if r == "R1":
-            return float(ell)
-        if r in ("R2", "R3", "R3-degenerate"):
-            uj = t / m
-            return (mean_bulk(uj, q) * m - ell) / (coef_d(self.u, q)
-                                                   * m ** (1 / 3))
-        if r in ("R4", "R4-degenerate"):
-            uj = t / m
-            return ((mean_defect(uj, q, self.qbar) * m - ell)
-                    / (coef_dg(uj, q, self.qbar) * math.sqrt(m)))
-        if r == "fixedM":
-            return (((1.0 - q) * t - ell)
-                    / math.sqrt(2.0 * q * (1.0 - q) * t))
-        if r == "continuousR2":
-            uj = (1.0 - q) * t / m
-            aj = (math.sqrt(uj) - 1.0) ** 2
-            _, _, d = continuous_coefs(self.u)
-            return (aj * m - ell) / (d * m ** (1 / 3))
-        raise AssertionError(r)
+        center, width = self._frame(t)
+        return (center - ell) / width
 
     # -- particle rates ---------------------------------------------------
 

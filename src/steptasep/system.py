@@ -6,6 +6,11 @@ right neighbor's site was empty at the start of the step; the update is fully
 synchronous. Labels count from the front: particle 1 is rightmost, the tagged
 particle M starts at the origin, and L(t, M) is the distance it has travelled.
 
+The rule is written once, in `_evolve`, over stay bits of any leading batch
+shape; the single-trajectory, all-particle and ensemble paths all drive it.
+Its independent route is `combinatorics.trajectory_from_matrix`, the same
+dynamics read off a 01 matrix, and the two are tested to agree.
+
 The module also carries the deterministic mean-position law: the limit of
 L(uM, M)/M is 0 up to u = 1/(1-q), follows a square-root curve A2(u) in the
 bulk, and for a slow front particle (qbar > q) switches at u_c to the linear
@@ -14,8 +19,7 @@ branch A_G(u) dragged by the defect.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,35 +66,33 @@ def defect_rates(m, q, defects):
     return tuple(rates)
 
 
-@dataclass
-class Configuration:
-    """positions[j] is the site of particle j+1; strictly decreasing."""
-
-    positions: np.ndarray
-    time: int = 0
+def _initial_sites(m):
+    """Step initial data: particle j at site M - j, the tagged one at 0."""
+    return np.arange(m - 1, -1, -1, dtype=np.int64)
 
 
-def make_step_initial(spec):
-    """Particle j at site M - j; the tagged particle M sits at the origin."""
-    return Configuration(np.arange(spec.m - 1, -1, -1, dtype=np.int64), 0)
+def _evolve(stay):
+    """The update rule, shared by every simulation path.
 
-
-def step(config, spec, rng):
-    """One synchronous update. Blocking uses the pre-step configuration."""
-    stay = rng.random(spec.m) < spec.rate_array()
-    move = ~stay
-    pos = config.positions
-    move[1:] &= (pos[:-1] - pos[1:]) > 1
-    return Configuration(pos + move, config.time + 1)
+    stay has shape (..., T, M); stay[..., t, j] is the stay indicator of
+    particle j+1 at the step from t to t+1. Blocking uses the pre-step
+    configuration. Yields the (..., M) sites after each of the T steps; the
+    yielded array is updated in place by the next step.
+    """
+    m = stay.shape[-1]
+    pos = np.broadcast_to(_initial_sites(m), stay.shape[:-2] + (m,)).copy()
+    for t in range(stay.shape[-2]):
+        move = ~stay[..., t, :]
+        move[..., 1:] &= (pos[..., :-1] - pos[..., 1:]) > 1
+        pos += move
+        yield pos
 
 
 def trajectory_from_uniforms(rates, uniforms, tagged=None):
     """Distances travelled by a tagged particle, driven by given uniforms.
 
     uniforms has shape (T, m); row t drives the step from time t to t+1
-    (particle i stays when uniforms[t, i-1] < q_i). This is the single
-    reference implementation of the dynamics; the ensemble sampler is its
-    vectorization and is tested to agree with it.
+    (particle i stays when uniforms[t, i-1] < q_i).
 
     Returns an integer array of length T+1 starting at 0.
     """
@@ -100,14 +102,9 @@ def trajectory_from_uniforms(rates, uniforms, tagged=None):
     if uniforms.ndim != 2 or uniforms.shape[1] != m:
         raise ValueError("uniform block must have one column per particle")
     tagged = m if tagged is None else tagged
-    pos = np.arange(m - 1, -1, -1, dtype=np.int64)
-    start = pos[tagged - 1]
     out = np.zeros(uniforms.shape[0] + 1, dtype=np.int64)
-    for t in range(uniforms.shape[0]):
-        move = uniforms[t] >= rates
-        move[1:] &= (pos[:-1] - pos[1:]) > 1
-        pos += move
-        out[t + 1] = pos[tagged - 1] - start
+    for t, pos in enumerate(_evolve(uniforms < rates), 1):
+        out[t] = pos[tagged - 1] - (m - tagged)
     return out
 
 
@@ -126,31 +123,18 @@ def positions_trajectory(spec, seed):
     site of particle j+1. Uses the substream of sample index 0, so the
     tagged column agrees with simulate_tagged at every time.
     """
-    uniforms = _sample_uniforms(spec.m, spec.horizon, seed, 0)
-    rates = spec.rate_array()
-    pos = np.arange(spec.m - 1, -1, -1, dtype=np.int64)
+    stay = _sample_uniforms(spec.m, spec.horizon, seed, 0) < spec.rate_array()
     out = np.empty((spec.horizon + 1, spec.m), dtype=np.int64)
-    out[0] = pos
-    for t in range(spec.horizon):
-        move = uniforms[t] >= rates
-        move[1:] &= (pos[:-1] - pos[1:]) > 1
-        pos = pos + move
-        out[t + 1] = pos
+    out[0] = _initial_sites(spec.m)
+    for t, pos in enumerate(_evolve(stay), 1):
+        out[t] = pos
     return out
 
 
 def simulate_tagged(spec, times, seed):
-    """L(t, M) at the requested times for a single trajectory.
-
-    Identical to row 0 of sample_ensemble with master_seed = seed.
-    """
-    times = [int(t) for t in times]
-    _check_times(spec, times)
-    horizon = max(times, default=0)
-    path = trajectory_from_uniforms(
-        spec.rates, _sample_uniforms(spec.m, horizon, seed, 0)
-    )
-    return np.array([path[t] for t in times], dtype=np.int64)
+    """L(t, M) at the requested times for a single trajectory: row 0 of
+    sample_ensemble with master_seed = seed."""
+    return sample_ensemble(spec, times, 1, seed)[0]
 
 
 def _check_times(spec, times):
@@ -174,8 +158,6 @@ def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=DEFAULT_CHUN
         raise ValueError("need at least one sample")
     horizon = max(times, default=0)
     rates = spec.rate_array()
-    m = spec.m
-    start0 = np.arange(m - 1, -1, -1, dtype=np.int64)
 
     by_time = {}
     for col, t in enumerate(times):
@@ -185,17 +167,12 @@ def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=DEFAULT_CHUN
     for lo in range(0, n_samples, chunk_size):
         hi = min(lo + chunk_size, n_samples)
         stay = np.stack(
-            [_sample_uniforms(m, horizon, master_seed, k) for k in range(lo, hi)]
+            [_sample_uniforms(spec.m, horizon, master_seed, k)
+             for k in range(lo, hi)]
         ) < rates
-        pos = np.tile(start0, (hi - lo, 1))
-        for cols in by_time.get(0, []):
-            out[lo:hi, cols] = 0
-        for t in range(horizon):
-            move = ~stay[:, t, :]
-            move[:, 1:] &= (pos[:, :-1] - pos[:, 1:]) > 1
-            pos += move
-            for cols in by_time.get(t + 1, []):
-                out[lo:hi, cols] = pos[:, m - 1] - start0[m - 1]
+        for t, pos in enumerate(_evolve(stay), 1):
+            for col in by_time.get(t, []):
+                out[lo:hi, col] = pos[:, -1]
     return out
 
 

@@ -213,8 +213,27 @@ class TestDeterminantProperties:
         assert fk.joint_probability([3], [0], RATES2) == 1.0
         assert fk.joint_probability([3], [-2], RATES2) == 1.0
         assert fk.joint_probability([3], [2 + 2], RATES2) == 0.0
-        # level = horizon + 1 goes through the determinant and lands on 0
         assert fk.joint_probability([3], [3], RATES2, exact=True) == 0
+
+    def test_level_above_support_is_exactly_zero(self):
+        # L(t) <= t - M + 1, so level t - M + 2 is impossible on both routes
+        rates, t = [Fraction(1, 2)] * 5, 12
+        assert fk.joint_probability([t], [t - 3], rates) == 0.0
+        assert fk.joint_probability([t], [t - 3], rates, exact=True) == 0
+        # the exact determinant on the window {0..t-M+1} vanishes as well
+        kern = fk.FiniteKernel(rates)
+        window = range(0, t - 3)
+        mat = [[(1 if x == y else 0) - kern.entry(t, x, t, y) for y in window]
+               for x in window]
+        assert cb.fraction_determinant(mat) == 0
+
+    def test_time_one_below_tagged_label(self):
+        # at t = M - 1 the tagged particle has not moved: L = 0
+        for exact in (False, True):
+            assert fk.joint_probability([1], [0], RATES2, exact=exact) == 1
+            assert fk.joint_probability([1], [1], RATES2, exact=exact) == 0
+            assert fk.joint_probability([1, 3], [1, 1], RATES2,
+                                        exact=exact) == 0
 
     def test_marginalization_second_time(self):
         for l1 in (1, 2):
@@ -257,4 +276,4 @@ class TestDeterminantProperties:
 
     def test_rejects_time_before_tagged_label(self):
         with pytest.raises(ValueError):
-            fk.joint_probability([1], [1], RATES2)
+            fk.joint_probability([0], [1], RATES2)

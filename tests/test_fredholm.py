@@ -126,6 +126,11 @@ class TestDetContinuous:
     def test_no_windows_gives_one(self):
         assert det_continuous(kernel_KG_block, [], []) == 1.0
 
+    def test_nan_threshold_raises(self):
+        for cdf in (tw_gue_cdf, goe2_cdf):
+            with pytest.raises(ValueError, match="finite"):
+                cdf(math.nan)
+
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="align"):
             det_continuous(kernel_KG_block, [0.0], [1.0, 2.0])
@@ -282,6 +287,10 @@ class TestKsDistance:
     def test_empty_raises(self):
         with pytest.raises(ValueError, match="sample"):
             ks_distance([], gaussian_r4_cdf)
+
+    def test_nan_sample_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_distance([0.1, math.nan, -0.3], gaussian_r4_cdf)
 
 
 class TestFiniteSizeLimit:

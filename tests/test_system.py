@@ -15,10 +15,10 @@ def spec_uniform(m, q, horizon):
 
 class TestSpecAndInitial:
     def test_step_initial_positions(self):
-        assert list(sy.make_step_initial(spec_uniform(1, 0.5, 1)).positions) == [0]
-        assert list(sy.make_step_initial(spec_uniform(4, 0.5, 1)).positions) == [3, 2, 1, 0]
-        cfg = sy.make_step_initial(spec_uniform(100, 0.5, 1))
-        assert cfg.positions[0] == 99 and cfg.positions[99] == 0
+        assert list(sy.positions_trajectory(spec_uniform(1, 0.5, 1), 0)[0]) == [0]
+        assert list(sy.positions_trajectory(spec_uniform(4, 0.5, 1), 0)[0]) == [3, 2, 1, 0]
+        start = sy.positions_trajectory(spec_uniform(100, 0.5, 1), 0)[0]
+        assert start[0] == 99 and start[99] == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -39,22 +39,14 @@ class TestSpecAndInitial:
 
 class TestStep:
     def test_deterministic_blocking(self):
-        spec = spec_uniform(2, 0.0, 4)
-        rng = np.random.default_rng(0)
-        cfg = sy.make_step_initial(spec)
-        cfg = sy.step(cfg, spec, rng)
-        assert list(cfg.positions) == [2, 0]  # rear particle blocked at start
-        cfg = sy.step(cfg, spec, rng)
-        assert list(cfg.positions) == [3, 1]
-        assert cfg.time == 2
+        pos = sy.positions_trajectory(spec_uniform(2, 0.0, 4), seed=0)
+        assert list(pos[1]) == [2, 0]  # rear particle blocked at start
+        assert list(pos[2]) == [3, 1]
 
     def test_exclusion_preserved(self):
-        spec = spec_uniform(6, 0.4, 50)
-        rng = np.random.default_rng(3)
-        cfg = sy.make_step_initial(spec)
-        for _ in range(50):
-            cfg = sy.step(cfg, spec, rng)
-            assert np.all(np.diff(cfg.positions) < 0)
+        pos = sy.positions_trajectory(spec_uniform(6, 0.4, 50), seed=3)
+        assert pos.shape == (51, 6)
+        assert np.all(np.diff(pos, axis=1) < 0)
 
 
 class TestAgainstMatrixPicture:
@@ -83,6 +75,27 @@ class TestAgainstMatrixPicture:
                         rates[:m], self.matrix_to_uniforms(bits, rates)
                     )
                     assert list(got) == want, bits
+
+    def test_ensemble_matches_matrix_route(self):
+        # sample k's stay bits, read as a 01 matrix: particle j consumes
+        # entry (r, M-j) at the step from r+j-1 to r+j
+        rates = (0.3, 0.6, 0.2, 0.5, 0.4)
+        m, seed = len(rates), 31
+        times = [0, 3, 4, 9, 17, 18]
+        horizon = max(times)
+        spec = sy.SystemSpec(m=m, rates=rates, horizon=horizon)
+        n_rows = horizon - m + 1
+        paths = []
+        for k in range(7):
+            gen = np.random.Generator(np.random.Philox(key=[seed, k]))
+            stay = gen.random((horizon, m)) < np.array(rates)
+            bits = [[int(stay[r + j - 1, j - 1]) for j in range(m, 0, -1)]
+                    for r in range(n_rows)]
+            path, _ = comb.trajectory_from_matrix(bits)
+            paths.append([path[t] for t in times])
+        for chunk in (1, 3, 64):
+            ens = sy.sample_ensemble(spec, times, 7, seed, chunk_size=chunk)
+            assert ens.tolist() == paths, chunk
 
     def test_two_step_joint_probability(self):
         # P(L(2,2)=1) factorizes over the two rates
