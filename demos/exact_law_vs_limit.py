@@ -13,7 +13,7 @@ Runtime is about half a minute (one exact determinant per level).
 Usage: python3 demos/exact_law_vs_limit.py
 """
 
-from steptasep.finite_kernel import prob_tagged_at_least
+from steptasep.finite_kernel import joint_probability
 from steptasep.fredholm import reference_law
 from steptasep.limit_kernels.scaling import ScaledExperiment
 from steptasep.system import uniform_rates
@@ -31,7 +31,7 @@ def main():
     prev = None
     worst = (0.0, None)
     for level in range(38, 54):
-        p = prob_tagged_at_least(t, level, rates)
+        p = joint_probability([t], [level], rates)
         s = exp.s_of(level, t)
         f = float(law.cdf(s))
         gap = p - f

@@ -52,7 +52,3 @@ def main(argv=None):
     if cfg.mode == "verify" and not report["pass"]:
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -324,14 +324,26 @@ def _content_product(filling, xs):
     return out
 
 
-def _complete_homogeneous_table(max_degree, xs):
-    """h_0..h_max for the variable list xs, exact."""
-    table = [Fraction(0)] * (max_degree + 1)
-    table[0] = Fraction(1)
+def elementary_symmetric(xs):
+    """e_0..e_n of the values xs, in their own arithmetic (Fractions stay
+    exact). e_k is the coefficient of s^k in prod_i (1 + x_i s)."""
+    e = [1]
     for x in xs:
-        for d in range(1, max_degree + 1):
-            table[d] += x * table[d - 1]
-    return table
+        e.append(0)
+        for k in range(len(e) - 1, 0, -1):
+            e[k] += x * e[k - 1]
+    return e
+
+
+def complete_homogeneous(e, degree, h=None):
+    """h_0..h_degree (coefficients of prod_i 1/(1 - x_i s)) from the e_k of
+    the same x, by h_k = sum_{j>=1} (-1)^(j+1) e_j h_(k-j). A given list
+    h_0..h_(k-1) is extended in place, so no coefficient is computed twice."""
+    h = [1] if h is None else h
+    for k in range(len(h), degree + 1):
+        h.append(sum((-1) ** (j + 1) * e[j] * h[k - j]
+                     for j in range(1, min(k, len(e) - 1) + 1)))
+    return h
 
 
 def fraction_determinant(mat):
@@ -364,12 +376,10 @@ def _schur_jacobi_trudi(shape, xs):
     if not shape:
         return Fraction(1)
     n = len(shape)
-    table = _complete_homogeneous_table(shape[0] + n, xs)
+    table = complete_homogeneous(elementary_symmetric(xs), shape[0] + n)
 
     def h(d):
-        if d < 0:
-            return Fraction(0)
-        return table[d]
+        return Fraction(table[d]) if d >= 0 else Fraction(0)
 
     mat = [[h(shape[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)]
     return fraction_determinant(mat)

@@ -112,8 +112,9 @@ def goe2_cdf(s, order=40):
 
 
 def gaussian_r4_cdf(s):
-    """Stationary law of the defect-dominated regime: N(0, 1/2)."""
-    return 0.5 * (1.0 + math.erf(s))
+    """Stationary law of the defect-dominated regime: N(0, 1/2); s may be
+    a scalar or an array."""
+    return 0.5 * (1.0 + np.vectorize(math.erf, otypes=[float])(s))
 
 
 def ou_joint_cdf_quadrature(s1, s2, tau1, tau2, order=160, floor=-8.0):
@@ -136,14 +137,15 @@ def ou_joint_cdf_quadrature(s1, s2, tau1, tau2, order=160, floor=-8.0):
 
 
 def ks_distance(samples, cdf):
-    """Kolmogorov-Smirnov statistic of samples against a CDF callable."""
+    """Kolmogorov-Smirnov statistic of samples against a CDF callable,
+    which is called once, on the sorted sample array."""
     xs = np.sort(np.asarray(samples, dtype=float))
     n = len(xs)
     if n == 0:
         raise ValueError("needs at least one sample")
     if np.isnan(xs).any():
         raise ValueError("samples contain NaN")
-    f = np.asarray([cdf(x) for x in xs], dtype=float)
+    f = np.asarray(cdf(xs), dtype=float)
     up = np.max(np.arange(1, n + 1) / n - f)
     down = np.max(f - np.arange(0, n) / n)
     return float(max(up, down))

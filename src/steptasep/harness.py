@@ -35,6 +35,7 @@ from .limit_kernels.kernels import (
 )
 from .limit_kernels.scaling import ScaledExperiment
 from .system import (
+    UNIFORM_BLOCK_BYTES,
     SystemSpec,
     critical_scaled_time,
     defect_rates,
@@ -181,9 +182,10 @@ def resolve_config(mode, config_path=None, seed=None, out=None,
 
 
 def adaptive_chunk(horizon, m):
-    """Sample block size keeping the transient uniform block near 200 MB."""
+    """Sample block size keeping the transient uniform block near
+    UNIFORM_BLOCK_BYTES."""
     cells = max(1, horizon * m * 8)
-    return max(1, min(64, int(2e8 / cells)))
+    return max(1, min(64, int(UNIFORM_BLOCK_BYTES / cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +260,9 @@ def run_simulate(cfg):
     returns the report plus in-memory extras (time, scaled mean/variance).
     """
     _require(cfg, "m", "q", "region", "n_samples", "master_seed", "out")
+    if any(label != 1 for label in cfg.defects):
+        raise ValueError(f"simulate puts the defect on particle 1; "
+                         f"got defects {list(cfg.defects)}")
     exp = _scaled_experiment(cfg)
     law_name = exp.target_law
     if law_name not in LAW_NAMES:

@@ -26,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..combinatorics import elementary_symmetric
 from .special import (
     airy_ai,
     airy_derivative,
@@ -48,14 +49,8 @@ def _panel_nodes(a, b, order):
     return mid + half * t, half * w
 
 
-def _half_line_rule(growth, xi_floor, order):
-    """Nodes/weights for int_0^inf with integrand e^{growth*lam} Ai-pair.
-
-    The Airy decay (4/3)(xi+lam)^(3/2) beats the exponential; the cut is
-    placed where the worst-case log-integrand is below -40.  Short panels
-    keep the Gauss rule accurate through the integrand's peak.
-    """
-    top = 30.0 + max(0.0, -xi_floor) + 3.0 * max(0.0, growth)
+def _paneled_rule(top, order):
+    """Gauss-Legendre nodes/weights on [0, top] in panels of length 6."""
     edges = np.arange(0.0, top + 6.0, 6.0)
     xs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -63,6 +58,17 @@ def _half_line_rule(growth, xi_floor, order):
         xs.append(x_p)
         ws.append(w_p)
     return np.concatenate(xs), np.concatenate(ws)
+
+
+def _half_line_rule(growth, xi_floor, order):
+    """Nodes/weights for int_0^inf with integrand e^{growth*lam} Ai-pair.
+
+    The Airy decay (4/3)(xi+lam)^(3/2) beats the exponential; the cut is
+    placed where the worst-case log-integrand is below -40.  Short panels
+    keep the Gauss rule accurate through the integrand's peak.
+    """
+    return _paneled_rule(
+        30.0 + max(0.0, -xi_floor) + 3.0 * max(0.0, growth), order)
 
 
 def airy_heat_integral(xi1, xi2, dpos):
@@ -127,15 +133,7 @@ def airy_laplace_complement(tau, xi, order=64):
         out = np.exp(tau * xi - tau ** 3 / 3.0) - integral
     else:
         # short panels resolve the Airy oscillation under the e^{tau*mu} damp
-        top = 45.0 / (-tau)
-        edges = np.arange(0.0, top + 6.0, 6.0)
-        mus, ws = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            mu_p, w_p = _panel_nodes(a, min(b, top), order)
-            mus.append(mu_p)
-            ws.append(w_p)
-        mu = np.concatenate(mus)
-        w = np.concatenate(ws)
+        mu, w = _paneled_rule(45.0 / (-tau), order)
         vals = airy_ai(xi[:, None] - mu[None, :])
         out = (vals * (w * np.exp(tau * mu))) @ np.ones_like(mu)
     return float(out[0]) if scalar else out
@@ -152,17 +150,6 @@ def kernel_K3_block(tau1, xis1, tau2, xis2, order=64):
 
 def kernel_K3(tau1, xi1, tau2, xi2, order=64):
     return float(kernel_K3_block(tau1, [xi1], tau2, [xi2], order)[0, 0])
-
-
-def _elementary_list(values):
-    """Elementary symmetric polynomials e_0..e_n of the given values."""
-    n = len(values)
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for v in values:
-        for k in range(n, 0, -1):
-            e[k] += v * e[k - 1]
-    return e
 
 
 def _perturbation_i_all(tau1, xis, etas, order=64, shift=1.0):
@@ -194,27 +181,6 @@ def _perturbation_i_all(tau1, xis, etas, order=64, shift=1.0):
     return out
 
 
-def _perturbation_i_line(tau1, xi, etas, height=None, half_width=None,
-                         nodes=4001):
-    """Horizontal-line route for I_j; valid only above the real axis.
-
-    On Im(w) = c the cubic factor decays like e^{-c x^2}, so the line is
-    usable only when c > 0, i.e. when every eta_k - tau1 exceeds the
-    shift.  Kept as an independent cross-check route.
-    """
-    c = min(e - tau1 for e in etas) - 1.0 if height is None else height
-    if c <= 0:
-        raise ValueError("horizontal line diverges at or below the real axis")
-    if half_width is None:
-        half_width = math.sqrt(50.0 / c) + 6.0
-    x = np.linspace(-half_width, half_width, nodes)
-    w = x + 1j * c
-    vals = np.exp(1j * xi * w + 1j * w ** 3 / 3.0)
-    for eta in etas:
-        vals = vals / (eta - tau1 + 1j * w)
-    return float(np.real(np.trapezoid(vals, x)) / (2.0 * math.pi))
-
-
 def _perturbation_j_all(tau2, xis, etas):
     """J_j(tau2, xi) for j = 1..n, from Airy derivatives.
 
@@ -226,7 +192,7 @@ def _perturbation_j_all(tau2, xis, etas):
     ders = np.stack([airy_derivative(xis, r) for r in range(max(n, 1))])
     out = np.empty((n, len(xis)))
     for j in range(1, n + 1):
-        e = _elementary_list([etas[k] - tau2 for k in range(j - 1)])
+        e = elementary_symmetric([etas[k] - tau2 for k in range(j - 1)])
         acc = np.zeros(len(xis))
         for r in range(j):
             acc += e[j - 1 - r] * ders[r]

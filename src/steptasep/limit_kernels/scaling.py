@@ -242,37 +242,26 @@ class ScaledExperiment:
 
     # -- particle rates ---------------------------------------------------
 
-    def rates(self, defect_label=1):
-        """Stay-rate vector realizing the region's defect structure."""
+    def rates(self):
+        """Stay-rate vector realizing the region's defect structure; the
+        defect, or the first of several, is particle 1."""
         r = self.region
-        m, q = self.m, self.q
-        if r in ("R1", "R2", "continuousR2"):
-            if self.qbar is not None and self.qbar > q:
-                return defect_rates(m, q, {defect_label: self.qbar})
-            return defect_rates(m, q, {})
-        if r == "R3":
-            return defect_rates(m, q, {defect_label: self.qbar})
-        if r == "R3-degenerate":
-            uc = critical_scaled_time(q, self.qbar)
-            amp = self.qbar * (1.0 - self.qbar) / (coef_d(uc, q)
-                                                   * m ** (1 / 3))
-            return defect_rates(
-                m, q,
-                {defect_label + i: self.qbar - amp * eta
-                 for i, eta in enumerate(self.strengths)})
-        if r == "R4":
-            return defect_rates(m, q, {defect_label: self.qbar})
-        if r == "R4-degenerate":
-            amp = 2.0 * self.qbar * (1.0 - self.qbar) / math.sqrt(m)
-            return defect_rates(
-                m, q,
-                {defect_label + i: self.qbar - amp * eps
-                 for i, eps in enumerate(self.strengths)})
+        m, q, qbar = self.m, self.q, self.qbar
         if r == "fixedM":
             amp = math.sqrt(2.0 * q * (1.0 - q) / self.horizon)
             eps = self.strengths if self.strengths else (0.0,) * m
             return tuple(q - amp * e for e in eps)
-        raise AssertionError(r)
+        if r == "R3-degenerate":
+            uc = critical_scaled_time(q, qbar)
+            amp = qbar * (1.0 - qbar) / (coef_d(uc, q) * m ** (1 / 3))
+        elif r == "R4-degenerate":
+            amp = 2.0 * qbar * (1.0 - qbar) / math.sqrt(m)
+        else:
+            # R3 and R4 always carry qbar > q; the other regions may not
+            slow = qbar is not None and qbar > q
+            return defect_rates(m, q, {1: qbar} if slow else {})
+        return defect_rates(
+            m, q, {1 + i: qbar - amp * s for i, s in enumerate(self.strengths)})
 
     # -- limit law --------------------------------------------------------
 

@@ -15,9 +15,8 @@ oscillatory side.  Downstream kernel integrals weight Ai by growing
 exponentials, so relative accuracy in the decay band matters, not just
 absolute accuracy.
 
-Hermite polynomials come in two forms: the plain three-term recurrence
-H_{n+1} = 2xH_n - 2nH_{n-1}, and a factorial-scaled sequence
-h_n(tau) = 2^(-n/2) H_n(tau/sqrt(2))/n! whose recurrence
+Hermite polynomials enter as the factorial-scaled sequence
+h_n(tau) = 2^(-n/2) H_n(tau/sqrt(2))/n!, whose recurrence
 h_{n+1} = (tau*h_n - h_{n-1})/(n+1) stays bounded for large degree.  The
 scaled sequence is exactly the lattice weight psi2 of the discrete Hermite
 kernel.  The companion weight psi1 is a vertical-line integral
@@ -241,18 +240,6 @@ def airy_derivative(x, r):
     return _polyval(a, x) * ai + _polyval(b, x) * aip
 
 
-def hermite_h(n, x):
-    """Physicists' Hermite polynomial H_n(x) by the plain recurrence."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    h_prev, h = 1.0, 2.0 * x
-    if n == 0:
-        return 1.0 if np.ndim(x) == 0 else np.ones_like(np.asarray(x, float))
-    for k in range(1, n):
-        h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
-    return h
-
-
 def psi2_sequence(n, tau):
     """Array of h_k = 2^(-k/2) H_k(tau/sqrt(2))/k! for k = 0..n."""
     if n < 0:
@@ -296,20 +283,3 @@ def psi1(x, tau):
         h = psi2_sequence(x - 1, tau)[x - 1]
         return math.exp(-tau * tau / 2.0) * math.factorial(x - 1) * h / _SQRT_2PI
     return psi1_line_integral(x, tau)
-
-
-def parabolic_d(n, x):
-    """Parabolic cylinder D_n(x) for integer n >= -1."""
-    if n < -1:
-        raise ValueError("order below -1 not supported")
-    if n == -1:
-        return math.sqrt(math.pi / 2.0) * math.exp(x * x / 4.0) \
-            * math.erfc(x / math.sqrt(2.0))
-    h = psi2_sequence(n, x)[n]
-    return math.exp(-x * x / 4.0) * math.factorial(n) * h
-
-
-def parabolic_d_zero(n):
-    """D_n(0) = 2^((n+1)/2) sin(pi(n+1)/2) Gamma((n+1)/2) / sqrt(2 pi)."""
-    return (2.0 ** ((n + 1) / 2.0) * math.sin(math.pi * (n + 1) / 2.0)
-            * math.gamma((n + 1) / 2.0) / _SQRT_2PI)

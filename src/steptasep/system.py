@@ -25,6 +25,10 @@ import numpy as np
 
 DEFAULT_CHUNK_SIZE = 64
 
+# Largest transient float64 uniform block, in bytes: a chunk of samples is
+# sized to stay near it, and a single sample that exceeds it is refused.
+UNIFORM_BLOCK_BYTES = 2e8
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -112,6 +116,10 @@ def _sample_uniforms(m, horizon, master_seed, index):
     """The uniform block of sample `index`: an independent counter-based
     substream keyed by (master_seed, index), so results do not depend on
     how samples are grouped into chunks."""
+    if horizon * m * 8 > UNIFORM_BLOCK_BYTES:
+        raise ValueError(
+            f"one sample needs a {horizon} x {m} float64 uniform block, "
+            f"above the {UNIFORM_BLOCK_BYTES / 1e6:.0f} MB budget")
     gen = np.random.Generator(np.random.Philox(key=[master_seed, index]))
     return gen.random((horizon, m))
 

@@ -24,9 +24,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import phi
 from steptasep import combinatorics as comb
 from steptasep import harness
-from steptasep.finite_kernel import phi
 from steptasep.fredholm import (
     det_continuous,
     ou_joint_cdf_quadrature,

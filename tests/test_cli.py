@@ -1,11 +1,15 @@
 """Command-line interface: argument handling, dispatch, exit codes.
 
 Most cases drive cli.main in-process; one test goes through the installed
-console script to cover the packaging entry point.
+console script to cover the packaging entry point, and one runs
+`python -m steptasep` from the source tree.
 """
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,18 @@ def run_main_verify(capsys, tmp_dir="/tmp"):
 
 
 class TestConsoleScript:
+    def test_module_entry_point(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "steptasep", "fig3", "--out",
+             str(tmp_path)],
+            capture_output=True, text=True, timeout=600,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert Path(report["curve"]).exists()
+        assert Path(report["markers"]).exists()
+
     def test_installed_entry_point(self, tmp_path):
         proc = subprocess.run(
             ["steptasep", "kernel-eval", "--out", str(tmp_path)],

@@ -4,6 +4,8 @@ The worked 6x4 matrix pins every correspondence in one place; the exhaustive
 loops then prove the identities for all small sizes.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -130,9 +132,30 @@ class TestLastPassageIdentities:
 class TestSchur:
     def test_single_row_is_complete_homogeneous(self):
         xs = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]
-        table = comb._complete_homogeneous_table(4, xs)
+        table = comb.complete_homogeneous(comb.elementary_symmetric(xs), 4)
         for k in range(5):
             assert comb.schur_polynomial((k,), xs) == table[k]
+
+    def test_complete_homogeneous_matches_product_expansion(self):
+        # zero and negative values, degrees past the number of variables,
+        # and a table grown one degree per call
+        for xs in ([Fraction(1, 2), Fraction(0), Fraction(-2, 3), Fraction(5, 4)],
+                   [0.5, 0.0, -2 / 3, 1.25]):
+            e = comb.elementary_symmetric(xs)
+            table = comb.complete_homogeneous(e, 8)
+            grown = [1]
+            for k in range(9):
+                comb.complete_homogeneous(e, k, grown)
+            assert grown == table
+            for k in range(9):
+                expansion = sum(math.prod(c) for c in
+                                itertools.combinations_with_replacement(xs, k))
+                schur = comb.schur_polynomial((k,), xs)
+                if isinstance(xs[0], Fraction):
+                    assert table[k] == expansion == schur
+                else:
+                    assert abs(table[k] - expansion) < 1e-12
+                    assert abs(table[k] - float(schur)) < 1e-12
 
     def test_single_column_is_elementary(self):
         xs = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]

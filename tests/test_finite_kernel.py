@@ -12,6 +12,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from oracles import kernel_K, kernel_quadrature, phi, psi1_quadrature
 from steptasep import combinatorics as cb
 from steptasep import finite_kernel as fk
 
@@ -21,23 +22,23 @@ RATES2 = [Fraction(3, 10), Fraction(1, 2)]
 
 class TestPhi:
     def test_zero_for_ordered_times(self):
-        assert fk.phi(3, 3, 0, 0) == 0
-        assert fk.phi(5, 2, 1, 0) == 0
+        assert phi(3, 3, 0, 0) == 0
+        assert phi(5, 2, 1, 0) == 0
 
     def test_binomial_values(self):
-        assert fk.phi(0, 3, 0, 1) == 3
-        assert fk.phi(0, 3, 0, 0) == 1
-        assert fk.phi(0, 3, 0, 3) == 1
-        assert fk.phi(0, 3, 0, 4) == 0
-        assert fk.phi(0, 3, 1, 0) == 0  # backward move carries no weight
+        assert phi(0, 3, 0, 1) == 3
+        assert phi(0, 3, 0, 0) == 1
+        assert phi(0, 3, 0, 3) == 1
+        assert phi(0, 3, 0, 4) == 0
+        assert phi(0, 3, 1, 0) == 0  # backward move carries no weight
 
     def test_semigroup_exact(self):
         for t1, t2, t3 in [(0, 2, 5), (1, 4, 12), (0, 7, 12)]:
             for x1 in range(-12, 13):
                 for x3 in range(-12, 13):
-                    direct = fk.phi(t1, t3, x1, x3)
+                    direct = phi(t1, t3, x1, x3)
                     through = sum(
-                        fk.phi(t1, t2, x1, y) * fk.phi(t2, t3, y, x3)
+                        phi(t1, t2, x1, y) * phi(t2, t3, y, x3)
                         for y in range(x1, x3 + 1)
                     )
                     assert direct == through
@@ -49,7 +50,7 @@ class TestPhi:
                 z = np.exp(2j * np.pi * np.arange(256) / 256)
                 vals = (1 + 1 / z) ** dt * z**dx
                 num = np.mean(vals).real
-                assert abs(num - fk.phi(0, dt, 0, dx)) < 1e-9
+                assert abs(num - phi(0, dt, 0, dx)) < 1e-9
 
 
 class TestPsi:
@@ -88,13 +89,27 @@ class TestPsi:
         for t in (2, 4):
             for x in range(-3, t + 2):
                 want = float(kern.psi1(x, t))
-                got = fk.psi1_quadrature(x, t, kern)
+                got = psi1_quadrature(x, t, kern)
                 assert abs(got - want) < 1e-10, (x, t, want, got)
 
     def test_psi1_quadrature_with_mild_rates(self):
         kern = fk.FiniteKernel([Fraction(1, 10)] * 3)
         for x in range(-2, 6):
-            assert abs(fk.psi1_quadrature(x, 5, kern) - float(kern.psi1(x, 5))) < 1e-10
+            assert abs(psi1_quadrature(x, 5, kern) - float(kern.psi1(x, 5))) < 1e-10
+
+    def test_psi1_quadrature_far_above_support(self):
+        # k = x - (t-M+1) runs to 12, deep into the p-series, with zero stay
+        # rates among the particles; psi1 decays like max(p)^k there, so
+        # the comparison is relative
+        for rates in ([Fraction(0), Fraction(1, 4)],
+                      [Fraction(0), Fraction(3, 10), Fraction(0)]):
+            kern = fk.FiniteKernel(rates)
+            for t in (3, 5):
+                horizon = t - kern.m + 1
+                for x in range(horizon + 10, horizon + 13):
+                    want = float(kern.psi1(x, t))
+                    got = psi1_quadrature(x, t, kern)
+                    assert abs(got - want) < 1e-6 * abs(want), (rates, x, t)
 
 
 class TestKernelRoutes:
@@ -107,14 +122,14 @@ class TestKernelRoutes:
         kern = fk.FiniteKernel(RATES2)
         for t1, x1, t2, x2 in self.POINTS:
             want = float(kern.entry(t1, x1, t2, x2))
-            got = fk.kernel_quadrature(t1, x1, t2, x2, kern, ordered=True)
+            got = kernel_quadrature(t1, x1, t2, x2, kern, ordered=True)
             assert abs(got - want) < 1e-9, (t1, x1, t2, x2)
 
     def test_series_vs_fixed_ordering_with_phi(self):
         kern = fk.FiniteKernel(RATES2)
         for t1, x1, t2, x2 in self.POINTS:
             want = float(kern.entry(t1, x1, t2, x2))
-            got = fk.kernel_quadrature(
+            got = kernel_quadrature(
                 t1, x1, t2, x2, kern, ordered=False, subtract_phi=True
             )
             assert abs(got - want) < 1e-9, (t1, x1, t2, x2)
@@ -122,19 +137,19 @@ class TestKernelRoutes:
     def test_omitting_phi_breaks_forward_entries(self):
         kern = fk.FiniteKernel(RATES2)
         t1, x1, t2, x2 = 2, 1, 4, 1
-        with_phi = fk.kernel_quadrature(t1, x1, t2, x2, kern, ordered=False)
-        without = fk.kernel_quadrature(
+        with_phi = kernel_quadrature(t1, x1, t2, x2, kern, ordered=False)
+        without = kernel_quadrature(
             t1, x1, t2, x2, kern, ordered=False, subtract_phi=False
         )
         assert abs(with_phi - float(kern.entry(t1, x1, t2, x2))) < 1e-9
-        assert abs(without - with_phi - fk.phi(t1, t2, x1, x2)) < 1e-9
-        assert fk.phi(t1, t2, x1, x2) != 0
+        assert abs(without - with_phi - phi(t1, t2, x1, x2)) < 1e-9
+        assert phi(t1, t2, x1, x2) != 0
 
     def test_reconciled_entry_api(self):
-        val = fk.kernel_K(3, 1, 2, 0, RATES2)
+        val = kernel_K(3, 1, 2, 0, RATES2)
         assert isinstance(val, float)
         # silent path agrees with checked path
-        assert val == fk.kernel_K(3, 1, 2, 0, RATES2, reconcile=False)
+        assert val == kernel_K(3, 1, 2, 0, RATES2, reconcile=False)
 
     def test_columns_vanish_beyond_support(self):
         # position above t-M+1 is unreachable; every kernel column there is 0
@@ -249,15 +264,21 @@ class TestDeterminantProperties:
         assert all(-1e-12 <= v <= 1 + 1e-12 for v in vals)
 
     def test_padding_the_window_changes_nothing(self):
+        # windows (t-M+1-l, t-M+1] extended by `pad` points past the support
+        kern = fk.FiniteKernel(RATES2)
         for pad in (1, 3):
             a = fk.joint_probability([2, 4], [1, 2], RATES2, exact=True)
-            b = fk.joint_probability([2, 4], [1, 2], RATES2, exact=True, pad=pad)
+            points = [(t, x) for t, level in ((2, 1), (4, 2))
+                      for x in range(t - 1 - level + 1, t - 1 + 1 + pad)]
+            mat = [[(1 if p == r else 0) - kern.entry(*p, *r) for r in points]
+                   for p in points]
+            b = cb.fraction_determinant(mat)
             assert a == b
 
     def test_conjugation_invariance(self):
         kern = fk.FiniteKernel(RATES2)
         times, levels = [2, 4], [1, 2]
-        blocks, _ = fk._windows(times, levels, 2, 0)
+        blocks, _ = fk._windows(times, levels, 2)
         points = [(t, x) for t, window in blocks for x in window]
         base = np.eye(len(points))
         gauged = np.eye(len(points))

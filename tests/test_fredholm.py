@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import airy as scipy_airy
 from scipy.stats import multivariate_normal
 
-from steptasep.finite_kernel import prob_tagged_at_least
+from steptasep.finite_kernel import joint_probability
 from steptasep.fredholm import (
     RefinementError,
     _det_once,
@@ -301,7 +301,7 @@ class TestFiniteSizeLimit:
         worst = 0.0
         for s in (-1.5, 0.0, 1.5):
             ell = exp.level_of(s, t)
-            p = prob_tagged_at_least(t, ell, rates)
+            p = joint_probability([t], [ell], rates)
             worst = max(worst, abs(p - tw_gue_cdf(exp.s_of(ell, t))))
         return worst
 

@@ -182,6 +182,21 @@ class TestSimulateRunner:
         assert report["tolerance"] == 0.05
         assert report["time"] == 360
 
+    def test_defect_off_particle_one_rejected(self, tmp_path):
+        # the region's rate vector slows particle 1; another label would be
+        # silently ignored
+        over = dict(region="R4", qbar=0.2, u=30.0, m=20, n_samples=5)
+        cfg = self._config(tmp_path / "bad", defects=[15], **over)
+        with pytest.raises(ValueError, match="particle 1"):
+            harness.run_simulate(cfg)
+        harness.run_simulate(self._config(tmp_path / "ok", defects=[1], **over))
+
+    def test_horizon_beyond_memory_budget_rejected(self, tmp_path):
+        # u = 1e6 maps to t = 10^8: 80 GB of uniforms for a single sample
+        cfg = self._config(tmp_path / "run", m=100, u=1e6)
+        with pytest.raises(ValueError, match="budget"):
+            harness.run_simulate(cfg)
+
     def test_onset_region_rejected(self, tmp_path):
         cfg = self._config(tmp_path / "run", region="R1")
         with pytest.raises(ValueError, match="no tabulated CDF"):

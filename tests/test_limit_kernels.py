@@ -18,7 +18,8 @@ import pytest
 from scipy import integrate
 from scipy import special as sps
 
-from steptasep.finite_kernel import prob_tagged_at_least
+from oracles import _perturbation_i_line
+from steptasep.finite_kernel import joint_probability
 from steptasep.limit_kernels import kernels as kk
 from steptasep.limit_kernels.scaling import ScaledExperiment
 from steptasep.limit_kernels.special import psi1, psi2
@@ -154,12 +155,12 @@ class TestBorderIntegrals:
         for xi in (-1.0, 0.0, 1.5):
             vee = kk._perturbation_i_all(tau1, np.array([xi]), etas)
             for j in range(len(etas)):
-                line = kk._perturbation_i_line(tau1, xi, etas[:j + 1])
+                line = _perturbation_i_line(tau1, xi, etas[:j + 1])
                 assert abs(vee[j, 0] - line) < 1e-10
 
     def test_horizontal_line_rejects_nonpositive_height(self):
         with pytest.raises(ValueError):
-            kk._perturbation_i_line(0.5, 0.0, [0.2])
+            _perturbation_i_line(0.5, 0.0, [0.2])
 
 
 class TestCriticalKernels:
@@ -386,7 +387,7 @@ class TestOnsetKernel:
             rates = (0.1,) * m
             worst = 0.0
             for ell in range(1, 4):
-                fin = prob_tagged_at_least(t, ell, rates)
+                fin = joint_probability([t], [ell], rates)
                 lim = kk.region1_prob_onetime(ell, tau)
                 worst = max(worst, abs(fin - lim))
             diffs[m] = worst

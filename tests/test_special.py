@@ -15,14 +15,12 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
+from oracles import hermite_h, parabolic_d, parabolic_d_zero
 from steptasep.limit_kernels.special import (
     airy_ai,
     airy_ai_prime,
     airy_derivative,
     airy_pair,
-    hermite_h,
-    parabolic_d,
-    parabolic_d_zero,
     psi1,
     psi1_line_integral,
     psi2,

@@ -170,6 +170,14 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             sy.sample_ensemble(spec, [-1], 5, master_seed=0)
 
+    def test_block_beyond_memory_budget_rejected(self):
+        # 250001 x 100 float64 uniforms is just over the 200 MB budget
+        spec = spec_uniform(100, 0.1, 250001)
+        with pytest.raises(ValueError, match="budget"):
+            sy.sample_ensemble(spec, [250001], 1, master_seed=0)
+        with pytest.raises(ValueError, match="budget"):
+            sy.positions_trajectory(spec, 0)
+
     def test_tagged_cannot_move_before_its_turn(self):
         spec = spec_uniform(6, 0.2, 8)
         ens = sy.sample_ensemble(spec, [3, 5, 6], 40, master_seed=1)
