@@ -161,33 +161,17 @@ def longest_nonincreasing_subsequence(word):
 # Dual and normal RSK
 # ---------------------------------------------------------------------------
 
-def _insert_dual(rows, x):
-    """Dual insertion: x displaces the leftmost entry >= x. Returns the row
-    index where the cascade ends (a new cell appears there)."""
-    r = 0
-    while r < len(rows):
-        row = rows[r]
-        idx = bisect_left(row, x)
+def _insert(rows, x, find):
+    """Row insertion: x displaces the entry at find(row, x), bisect_left
+    (leftmost >= x) for dual and bisect_right (leftmost > x) for normal
+    insertion. Returns the row index where the cascade ends (a new cell
+    appears there)."""
+    for r, row in enumerate(rows):
+        idx = find(row, x)
         if idx == len(row):
             row.append(x)
             return r
         row[idx], x = x, row[idx]
-        r += 1
-    rows.append([x])
-    return len(rows) - 1
-
-
-def _insert_normal(rows, x):
-    """Normal insertion: x displaces the leftmost entry > x."""
-    r = 0
-    while r < len(rows):
-        row = rows[r]
-        idx = bisect_right(row, x)
-        if idx == len(row):
-            row.append(x)
-            return r
-        row[idx], x = x, row[idx]
-        r += 1
     rows.append([x])
     return len(rows) - 1
 
@@ -206,7 +190,7 @@ def dual_rsk(bits):
     for i, row in enumerate(bits, start=1):
         for c, v in enumerate(row):
             if v:
-                r = _insert_dual(p_rows, c + 1)
+                r = _insert(p_rows, c + 1, bisect_left)
                 if r == len(q_rows):
                     q_rows.append([])
                 q_rows[r].append(i)
@@ -217,7 +201,7 @@ def normal_rsk(word):
     """Insertion tableau of the normal RSK algorithm applied to a word."""
     rows: list[list[int]] = []
     for x in word:
-        _insert_normal(rows, x)
+        _insert(rows, x, bisect_right)
     return rows
 
 
@@ -265,7 +249,7 @@ def growth_shapes(bits):
     for row in bits:
         for c, v in enumerate(row):
             if v:
-                _insert_dual(p_rows, c + 1)
+                _insert(p_rows, c + 1, bisect_left)
         shapes.append(tableau_shape(p_rows))
     return shapes
 
@@ -426,13 +410,19 @@ def schur_weight(seq, rates):
     return weight
 
 
-def enumerate_growth_law(n_rows, n_cols, rates):
-    """Exact pushforward law of growth sequences over all 2^(N*M) matrices."""
+def _pushforward(n_rows, n_cols, rates, key):
+    """Exact law of key(bits) over all 2^(N*M) matrices."""
     law: dict[tuple, Fraction] = {}
     for bits in all_matrices(n_rows, n_cols):
-        key = tuple(growth_shapes(bits))
-        law[key] = law.get(key, Fraction(0)) + matrix_probability(bits, rates)
+        k = key(bits)
+        law[k] = law.get(k, Fraction(0)) + matrix_probability(bits, rates)
     return law
+
+
+def enumerate_growth_law(n_rows, n_cols, rates):
+    """Exact pushforward law of growth sequences over all 2^(N*M) matrices."""
+    return _pushforward(n_rows, n_cols, rates,
+                        lambda bits: tuple(growth_shapes(bits)))
 
 
 def all_growth_sequences(n_rows, max_cols):
@@ -469,12 +459,8 @@ def enumerate_exact_distribution(n_rows, n_cols, rates):
     Returns a dict mapping path tuples to Fraction probabilities. This is the
     oracle the determinant formula is compared against.
     """
-    law: dict[tuple, Fraction] = {}
-    for bits in all_matrices(n_rows, n_cols):
-        path, _stays = trajectory_from_matrix(bits)
-        key = tuple(path)
-        law[key] = law.get(key, Fraction(0)) + matrix_probability(bits, rates)
-    return law
+    return _pushforward(n_rows, n_cols, rates,
+                        lambda bits: tuple(trajectory_from_matrix(bits)[0]))
 
 
 def prob_path_at_least(law, constraints):

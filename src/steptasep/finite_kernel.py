@@ -151,7 +151,8 @@ def joint_probability(times, levels, rates, exact=False):
     particle first moves at the step to time M and at most once per step,
     so L(t) <= t-M+1) and short-circuits to 0. Times from M-1 on are
     accepted. With exact=True and rational rates the value is a Fraction
-    with no rounding at all.
+    with no rounding at all. The float route is accurate to about 1e-12
+    absolute and is clipped into [0, 1]; deep tails need exact=True.
     """
     kern = FiniteKernel(rates)
     blocks, impossible = _windows(times, levels, kern.m)
@@ -162,5 +163,6 @@ def joint_probability(times, levels, rates, exact=False):
         return fraction_determinant(
             [[int(p == r) - kern.entry(*p, *r) for r in points] for p in points])
     ts = [t for t, _ in blocks]
-    return det_discrete(lambda i, x, j, y: float(kern.entry(ts[i], x, ts[j], y)),
-                        [window for _, window in blocks])
+    p = det_discrete(lambda i, x, j, y: float(kern.entry(ts[i], x, ts[j], y)),
+                     [window for _, window in blocks])
+    return min(max(p, 0.0), 1.0)

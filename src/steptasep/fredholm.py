@@ -8,9 +8,9 @@ LU determinant.  Every evaluation is performed twice, the second time with
 doubled order and window length; if the two disagree beyond tolerance the
 evaluation refuses to return a number.
 
-The reference laws used by the statistics harness are tabulated once on
-law-specific grids whose ends carry less than 1e-6 of residual mass, then
-interpolated linearly.
+The reference laws used by the statistics harness, one LAWS entry each,
+are tabulated once on law-specific grids whose ends carry less than 1e-6 of
+residual mass, then interpolated linearly.
 """
 
 import math
@@ -24,6 +24,9 @@ from .limit_kernels.kernels import (
     gaussian_transition,
     kernel_K3_block,
 )
+
+# largest refined Nystrom matrix det_continuous will build, in bytes
+MATRIX_BYTES = 2e8
 
 
 class RefinementError(RuntimeError):
@@ -55,14 +58,19 @@ def det_discrete(entry, windows):
     return float(np.linalg.det(np.eye(n) - mat))
 
 
-def _det_once(block, taus, esses, lcut, order):
+def _window(s, lcut, order):
+    """Length and node count of the truncated window (s, s + length]."""
     # windows always reach up to max(s, 0) + lcut: some kernels carry
     # rank-one terms that decay only through the column variable, so the
     # cut must sit deep in the decaying region however negative s is
+    length = lcut + max(0.0, -s)
+    return length, int(math.ceil(order * length / lcut))
+
+
+def _det_once(block, taus, esses, lcut, order):
     xs, roots = [], []
     for s in esses:
-        length = lcut + max(0.0, -s)
-        n = int(math.ceil(order * length / lcut))
+        length, n = _window(s, lcut, order)
         t, w = np.polynomial.legendre.leggauss(n)
         xs.append(s + length / 2.0 + length / 2.0 * t)
         roots.append(np.sqrt(length / 2.0 * w))
@@ -81,13 +89,20 @@ def det_continuous(block, taus, esses, lcut=10.0, order=40, tol=1e-8):
 
     `block(t1, xs1, t2, xs2)` returns the kernel matrix between node
     arrays.  The value is accepted only if doubling both the node count
-    and the window length moves it by less than `tol`.
+    and the window length moves it by less than `tol`.  Thresholds so
+    negative that the refined matrix would outgrow MATRIX_BYTES are
+    rejected before any kernel evaluation.
     """
     if len(taus) != len(esses):
         raise ValueError("times and thresholds must align")
     if not all(math.isfinite(x) for x in (*taus, *esses)):
         raise ValueError(f"times and thresholds must be finite: "
                          f"{list(taus)}, {list(esses)}")
+    nodes = sum(_window(s, 2.0 * lcut, 2 * order)[1] for s in esses)
+    if 8 * nodes ** 2 > MATRIX_BYTES:
+        raise ValueError(
+            f"thresholds {list(esses)} need a {nodes}-node Nystrom matrix, "
+            f"above the {MATRIX_BYTES / 1e6:.0f} MB budget")
     if not taus:
         return 1.0
     coarse = _det_once(block, taus, esses, lcut, order)
@@ -172,21 +187,22 @@ class ReferenceLaw:
                                  left=0.0, right=1.0), 0.0, 1.0)
 
 
-def _tabulate(fn, lo, hi, step):
-    grid = np.arange(lo, hi + step / 2.0, step)
-    return grid, np.array([fn(float(s)) for s in grid])
+# name -> (CDF, grid start, grid end); the ends carry less than 1e-6 of mass
+LAWS = {
+    "tw-gue": (tw_gue_cdf, -6.0, 4.0),
+    "goe-squared": (goe2_cdf, -6.0, 8.0),
+    "gaussian": (gaussian_r4_cdf, -5.0, 5.0),
+}
+TW_GUE, GOE_SQUARED, GAUSSIAN = LAWS
+_GRID_STEP = 0.05
 
 
 @lru_cache(maxsize=None)
 def reference_law(name):
-    """Reference laws by name: 'tw-gue', 'goe-squared', 'gaussian'."""
-    if name == "tw-gue":
-        grid, vals = _tabulate(tw_gue_cdf, -6.0, 4.0, 0.05)
-    elif name == "goe-squared":
-        grid, vals = _tabulate(goe2_cdf, -6.0, 8.0, 0.05)
-    elif name == "gaussian":
-        grid, vals = _tabulate(gaussian_r4_cdf, -5.0, 5.0, 0.05)
-    else:
+    """The law `name` of LAWS, tabulated on its grid."""
+    if name not in LAWS:
         raise ValueError(f"unknown reference law {name!r}")
-    return ReferenceLaw(name=name, grid=grid,
-                        values=np.clip(vals, 0.0, 1.0))
+    cdf, lo, hi = LAWS[name]
+    grid = np.arange(lo, hi + _GRID_STEP / 2.0, _GRID_STEP)
+    values = np.array([cdf(float(s)) for s in grid])
+    return ReferenceLaw(name=name, grid=grid, values=np.clip(values, 0.0, 1.0))

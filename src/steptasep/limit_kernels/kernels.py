@@ -2,7 +2,7 @@
 
 All continuous kernels expose a block form K(tau1, xis1, tau2, xis2)
 returning the matrix K[a, b] over node arrays, which is what the Nystrom
-determinant engine consumes; the scalar forms are one-element wrappers.
+determinant engine consumes; a single entry is a one-point block.
 
 Forward-in-time entries of the extended Airy kernel are computed from the
 re-summed representation
@@ -100,11 +100,6 @@ def extended_airy_block(tau1, xis1, tau2, xis2, order=64):
     return block
 
 
-def extended_airy(tau1, xi1, tau2, xi2, order=64):
-    """Scalar extended Airy kernel entry."""
-    return float(extended_airy_block(tau1, [xi1], tau2, [xi2], order)[0, 0])
-
-
 def airy_kernel_cd(xi1, xi2):
     """Equal-time Airy kernel via the Christoffel-Darboux form."""
     if xi1 == xi2:
@@ -146,10 +141,6 @@ def kernel_K3_block(tau1, xis1, tau2, xis2, order=64):
     base = extended_airy_block(tau1, xis1, tau2, xis2, order)
     border = airy_laplace_complement(tau1, xis1, order)
     return base + np.outer(border, airy_ai(xis2))
-
-
-def kernel_K3(tau1, xi1, tau2, xi2, order=64):
-    return float(kernel_K3_block(tau1, [xi1], tau2, [xi2], order)[0, 0])
 
 
 def _perturbation_i_all(tau1, xis, etas, order=64, shift=1.0):
@@ -212,11 +203,6 @@ def kernel_K3prime_block(tau1, xis1, tau2, xis2, etas, order=64):
     i_all = _perturbation_i_all(tau1, xis1, etas, order)
     j_all = _perturbation_j_all(tau2, xis2, etas)
     return block + i_all.T @ j_all
-
-
-def kernel_K3prime(tau1, xi1, tau2, xi2, etas, order=64):
-    return float(kernel_K3prime_block(tau1, [xi1], tau2, [xi2], etas,
-                                      order)[0, 0])
 
 
 def gaussian_transition(xi1, xi2, dtau):
@@ -342,11 +328,6 @@ def kernel_Kn_block(tau1, xis1, tau2, xis2, eps, step=0.05, half_width=8.0):
     return block
 
 
-def kernel_Kn(tau1, xi1, tau2, xi2, eps, step=0.05, half_width=8.0):
-    return float(kernel_Kn_block(tau1, [xi1], tau2, [xi2], eps, step,
-                                 half_width)[0, 0])
-
-
 def phi_poisson(x1, x2, dt):
     """Whole-line collapse of the lattice weight pairing: dt^k/k!."""
     k = x2 - x1
@@ -382,8 +363,3 @@ def region1_prob(taus, levels):
     windows = [range(max(0, int(ell))) for ell in levels]
     return det_discrete(
         lambda i, x, j, y: kernel_region1(taus[i], x, taus[j], y), windows)
-
-
-def region1_prob_onetime(ell, tau):
-    """One-time onset probability P(L >= ell); exact rank-ell determinant."""
-    return region1_prob([tau], [ell])

@@ -1,24 +1,29 @@
 """Scaling maps between lattice coordinates and limit-kernel coordinates.
 
-Each region names a joint limit of the tagged-particle distance L(t, M):
+Each region names a joint limit of the tagged-particle distance L(t, M).
+REGION_TABLE gives every region its family, its target law and the slow
+particles it requires; the scaling maps depend on the family alone.
 
-    R1            onset of motion, t near M/(1-q); L stays O(1) and the
-                  discrete Hermite kernel applies.
-    R2            bulk times between onset and the defect-capture point;
-                  cube-root fluctuations, extended Airy kernel.
-    R3            exactly at the capture point u_c; kernel gains a rank-one
-                  border term (one critical defect).
-    R3-degenerate several defects merging at u_c at rate M^(-1/3); the
-                  rank-n perturbed Airy kernel with strengths eta_i.
-    R4            beyond u_c; square-root fluctuations driven by the slow
-                  defect, stationary Gaussian process kernel.
-    R4-degenerate several defect rates merging at rate M^(-1/2); rank-n
-                  Gaussian kernel with strengths eps_i.
-    fixedM        M held fixed while t -> infinity; every particle's rate
-                  approaches q at rate T^(-1/2) and times stretch as
-                  e^(2 tau) T; rank-M Gaussian kernel.
-    continuousR2  bulk scaling written in the rescaled clock (1-q)t, which
-                  matches the continuous-time square-root law (sqrt(u)-1)^2.
+onset (R1)
+    t = M/(1-q) + d1 sqrt(M) tau; L stays O(1) and is its own scaled
+    position; discrete Hermite kernel.
+bulk (R2, R3, R3-degenerate)
+    t = uM + c M^(2/3) tau; cube-root window around the square-root mean.
+    R2: u between onset and the capture point u_c, extended Airy kernel.
+    R3: u pinned to u_c, one critical defect adds a rank-one border term.
+    R3-degenerate: several defects merging at u_c at rate M^(-1/3); rank-n
+    perturbed Airy kernel with strengths eta_i.
+defect (R4, R4-degenerate)
+    beyond u_c, times are their own ratios u_j = t/M and tau = log dg(u_j);
+    square-root window around the linear mean dragged by the slow defect,
+    stationary Gaussian process kernel.  R4-degenerate: several defect
+    rates merging at rate M^(-1/2); rank-n Gaussian kernel, strengths eps_i.
+fixedM (fixedM)
+    M held fixed while t = e^(2 tau) T -> infinity; every particle's rate
+    approaches q at rate T^(-1/2); rank-M Gaussian kernel.
+clock (continuousR2)
+    the bulk maps in the rescaled clock (1-q)t, which matches the
+    continuous-time square-root law (sqrt(u)-1)^2.
 
 Forward maps round to integer lattice times/levels; inverse maps are
 computed from the rounded integers, so a round trip returns the effective
@@ -28,18 +33,22 @@ scaled coordinates actually realized on the lattice.
 import math
 from dataclasses import dataclass
 
+from ..fredholm import GAUSSIAN, GOE_SQUARED, TW_GUE
 from ..system import critical_scaled_time, defect_rates, mean_bulk, mean_defect
 
-REGIONS = (
-    "R1",
-    "R2",
-    "R3",
-    "R3-degenerate",
-    "R4",
-    "R4-degenerate",
-    "fixedM",
-    "continuousR2",
-)
+# region -> (family, target law, slow particles required: None, "one" at
+# qbar on particle 1, or "several" merging into qbar, one per strength)
+REGION_TABLE = {
+    "R1": ("onset", "discrete-hermite", None),
+    "R2": ("bulk", TW_GUE, None),
+    "R3": ("bulk", GOE_SQUARED, "one"),
+    "R3-degenerate": ("bulk", GOE_SQUARED, "several"),
+    "R4": ("defect", GAUSSIAN, "one"),
+    "R4-degenerate": ("defect", GAUSSIAN, "several"),
+    "fixedM": ("fixedM", GAUSSIAN, None),
+    "continuousR2": ("clock", TW_GUE, None),
+}
+REGIONS = tuple(REGION_TABLE)
 
 
 def coef_d1(q):
@@ -97,12 +106,12 @@ def continuous_coefs(u_tilde):
 class ScaledExperiment:
     """A region choice plus the parameters that pin its scaling maps.
 
-    `u` is the macroscopic time ratio t/M for the bulk regions (forced to
-    the capture point in R3, interpreted in the rescaled clock for
-    continuousR2, unused in R1/R4/fixedM).  `strengths` are the
-    nonnegative degeneracy parameters (eta_i or eps_i); `horizon` is the
-    reference time T of the fixedM limit.  R4 parameterizes times by their
-    own ratios u_j > u_c, passed directly to `time_of`.
+    `u` is the time ratio t/M around which the bulk family scales (forced
+    to the capture point where a defect is required), the same ratio in the
+    rescaled clock, and the experiment's own ratio u_j > u_c in the defect
+    family, whose `time_of` takes such ratios; onset and fixedM ignore it.
+    `strengths` are the nonnegative degeneracy parameters (eta_i or eps_i);
+    `horizon` is the reference time T of the fixedM limit.
     """
 
     region: str
@@ -114,7 +123,7 @@ class ScaledExperiment:
     horizon: float = None
 
     def __post_init__(self):
-        if self.region not in REGIONS:
+        if self.region not in REGION_TABLE:
             raise ValueError(f"unknown region {self.region!r}")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
@@ -124,111 +133,118 @@ class ScaledExperiment:
                            tuple(float(s) for s in self.strengths))
         if any(s < 0 for s in self.strengths):
             raise ValueError("degeneracy strengths must be nonnegative")
-        r = self.region
-        if r in ("R3", "R3-degenerate", "R4", "R4-degenerate"):
-            if self.qbar is None or not self.q < self.qbar < 1.0:
-                raise ValueError(f"region {r} needs a defect rate "
-                                 "qbar in (q, 1)")
-        if r == "R2":
+        r, (family, _, slow) = self.region, REGION_TABLE[self.region]
+        if slow and (self.qbar is None or not self.q < self.qbar < 1.0):
+            raise ValueError(f"region {r} needs a defect rate qbar in (q, 1)")
+        uc = (critical_scaled_time(self.q, self.qbar)
+              if self.qbar is not None and self.qbar > self.q else math.inf)
+        if family == "bulk" and not slow:
             lo = 1.0 / (1.0 - self.q)
-            hi = (critical_scaled_time(self.q, self.qbar)
-                  if self.qbar is not None and self.qbar > self.q
-                  else math.inf)
-            if self.u is None or not lo < self.u < hi:
+            if self.u is None or not lo < self.u < uc:
                 raise ValueError(
-                    f"region R2 needs 1/(1-q) < u < u_c; got u={self.u}, "
-                    f"bounds ({lo}, {hi})")
-        if r in ("R3", "R3-degenerate"):
-            uc = critical_scaled_time(self.q, self.qbar)
+                    f"region {r} needs 1/(1-q) < u < u_c; got u={self.u}, "
+                    f"bounds ({lo}, {uc})")
+        if family == "bulk" and slow:
             if self.u is None:
                 object.__setattr__(self, "u", uc)
             elif not math.isclose(self.u, uc, rel_tol=1e-12):
                 raise ValueError(
                     f"region {r} pins u to the capture point u_c={uc}; "
                     f"got u={self.u}")
-        if r == "R4" and self.u is not None:
-            uc = critical_scaled_time(self.q, self.qbar)
-            if self.u <= uc:
-                raise ValueError(
-                    f"region R4 needs u > u_c={uc}; got u={self.u}")
-        if r == "continuousR2":
-            if self.u is None or self.u <= 1.0:
-                raise ValueError("region continuousR2 needs u_tilde > 1")
-        if r == "fixedM":
+        if (family == "defect" and slow == "one" and self.u is not None
+                and self.u <= uc):
+            raise ValueError(f"region {r} needs u > u_c={uc}; got u={self.u}")
+        if family == "clock" and (self.u is None or self.u <= 1.0):
+            raise ValueError(f"region {r} needs u_tilde > 1")
+        if family == "fixedM":
             if self.horizon is None or self.horizon <= 0:
-                raise ValueError("region fixedM needs a positive horizon T")
+                raise ValueError(f"region {r} needs a positive horizon T")
             if self.strengths and len(self.strengths) != self.m:
                 raise ValueError(
                     "fixedM strengths must list one eps per particle")
-        if r in ("R3-degenerate", "R4-degenerate") and not self.strengths:
+        if slow == "several" and not self.strengths:
             raise ValueError(f"region {r} needs at least one strength")
+
+    @property
+    def family(self):
+        return REGION_TABLE[self.region][0]
+
+    @property
+    def target_law(self):
+        return REGION_TABLE[self.region][1]
 
     # -- time maps --------------------------------------------------------
 
-    def time_of(self, x):
-        """Integer lattice time for scaled time x (tau, or u_j in R4)."""
-        r = self.region
+    def _clock(self):
+        """(a, b, k) of the onset, bulk and clock families, which share the
+        affine maps t = round((a + b*tau)/k) and tau = (k*t - a)/b."""
         m, q = self.m, self.q
-        if r == "R1":
-            return int(round(m / (1.0 - q) + coef_d1(q) * math.sqrt(m) * x))
-        if r in ("R2", "R3", "R3-degenerate"):
-            return int(round(self.u * m + coef_c(self.u, q) * m ** (2 / 3) * x))
-        if r in ("R4", "R4-degenerate"):
-            uc = critical_scaled_time(q, self.qbar)
+        if self.family == "onset":
+            return m / (1.0 - q), coef_d1(q) * math.sqrt(m), 1.0
+        if self.family == "bulk":
+            return self.u * m, coef_c(self.u, q) * m ** (2 / 3), 1.0
+        _, c, _ = continuous_coefs(self.u)
+        return self.u * m, c * m ** (2 / 3), 1.0 - q
+
+    def time_of(self, x):
+        """Integer lattice time for scaled time x (tau, or u_j in the
+        defect family)."""
+        if self.family == "defect":
+            uc = critical_scaled_time(self.q, self.qbar)
             if x <= uc:
                 raise ValueError(f"R4 times need u > u_c={uc}; got {x}")
-            return int(round(x * m))
-        if r == "fixedM":
+            return int(round(x * self.m))
+        if self.family == "fixedM":
             return int(round(math.exp(2.0 * x) * self.horizon))
-        if r == "continuousR2":
-            _, c, _ = continuous_coefs(self.u)
-            t_tilde = self.u * m + c * m ** (2 / 3) * x
-            return int(round(t_tilde / (1.0 - q)))
-        raise AssertionError(r)
+        a, b, k = self._clock()
+        t = int(round((a + b * x) / k))
+        if t < 0:
+            raise ValueError(f"scaled time {x} maps to lattice time {t} < 0")
+        return t
 
     def tau_of(self, t):
         """Kernel time coordinate realized by the integer lattice time t."""
-        r = self.region
-        m, q = self.m, self.q
-        if r == "R1":
-            return (t - m / (1.0 - q)) / (coef_d1(q) * math.sqrt(m))
-        if r in ("R2", "R3", "R3-degenerate"):
-            return (t - self.u * m) / (coef_c(self.u, q) * m ** (2 / 3))
-        if r in ("R4", "R4-degenerate"):
-            return math.log(coef_dg(t / m, q, self.qbar))
-        if r == "fixedM":
+        if self.family == "defect":
+            return math.log(coef_dg(t / self.m, self.q, self.qbar))
+        if self.family == "fixedM":
             return 0.5 * math.log(t / self.horizon)
-        if r == "continuousR2":
-            _, c, _ = continuous_coefs(self.u)
-            return ((1.0 - q) * t - self.u * m) / (c * m ** (2 / 3))
-        raise AssertionError(r)
+        a, b, k = self._clock()
+        return (k * t - a) / b
+
+    def lattice_time(self):
+        """Lattice time of the experiment's own scaled time: tau = 0, or u
+        itself in the defect family."""
+        if self.family != "defect":
+            return self.time_of(0.0)
+        if self.u is None:
+            raise ValueError(f"region {self.region} needs u, its time ratio")
+        return self.time_of(self.u)
 
     # -- position maps ----------------------------------------------------
 
     def _frame(self, t):
         """(center, width) at lattice time t: level = center - width * s.
 
-        R1 uses (-0.0, -1.0) rather than (0, -1) so that level 0 maps to
+        Onset uses (-0.0, -1.0) rather than (0, -1) so that level 0 maps to
         s = +0.0, not -0.0.
         """
-        r = self.region
-        m, q = self.m, self.q
-        if r == "R1":
+        m, q, uj = self.m, self.q, t / self.m
+        if self.family == "onset":
             return -0.0, -1.0
-        if r in ("R2", "R3", "R3-degenerate"):
-            return (mean_bulk(t / m, q) * m,
-                    coef_d(self.u, q) * m ** (1 / 3))
-        if r in ("R4", "R4-degenerate"):
-            uj = t / m
-            return (mean_defect(uj, q, self.qbar) * m,
-                    coef_dg(uj, q, self.qbar) * math.sqrt(m))
-        if r == "fixedM":
-            return (1.0 - q) * t, math.sqrt(2.0 * q * (1.0 - q) * t)
-        if r == "continuousR2":
-            uj = (1.0 - q) * t / m
-            _, _, d = continuous_coefs(self.u)
-            return (math.sqrt(uj) - 1.0) ** 2 * m, d * m ** (1 / 3)
-        raise AssertionError(r)
+        if self.family == "bulk":
+            center = mean_bulk(uj, q) * m
+            width = coef_d(self.u, q) * m ** (1 / 3)
+        elif self.family == "defect":
+            center = mean_defect(uj, q, self.qbar) * m
+            width = coef_dg(uj, q, self.qbar) * math.sqrt(m)
+        elif self.family == "fixedM":
+            center, width = (1.0 - q) * t, math.sqrt(2.0 * q * (1.0 - q) * t)
+        else:
+            center = (math.sqrt((1.0 - q) * t / m) - 1.0) ** 2 * m
+            width = continuous_coefs(self.u)[2] * m ** (1 / 3)
+        if not (math.isfinite(center) and math.isfinite(width)):
+            raise ValueError(f"lattice time {t} has no finite frame")
+        return center, width
 
     def level_of(self, s, t):
         """Integer distance threshold matching scaled position s at time t."""
@@ -245,32 +261,19 @@ class ScaledExperiment:
     def rates(self):
         """Stay-rate vector realizing the region's defect structure; the
         defect, or the first of several, is particle 1."""
-        r = self.region
         m, q, qbar = self.m, self.q, self.qbar
-        if r == "fixedM":
+        if self.family == "fixedM":
             amp = math.sqrt(2.0 * q * (1.0 - q) / self.horizon)
             eps = self.strengths if self.strengths else (0.0,) * m
             return tuple(q - amp * e for e in eps)
-        if r == "R3-degenerate":
-            uc = critical_scaled_time(q, qbar)
-            amp = qbar * (1.0 - qbar) / (coef_d(uc, q) * m ** (1 / 3))
-        elif r == "R4-degenerate":
-            amp = 2.0 * qbar * (1.0 - qbar) / math.sqrt(m)
-        else:
-            # R3 and R4 always carry qbar > q; the other regions may not
+        if REGION_TABLE[self.region][2] != "several":
+            # a required defect has qbar > q; an optional one may not
             slow = qbar is not None and qbar > q
             return defect_rates(m, q, {1: qbar} if slow else {})
+        if self.family == "bulk":
+            uc = critical_scaled_time(q, qbar)
+            amp = qbar * (1.0 - qbar) / (coef_d(uc, q) * m ** (1 / 3))
+        else:
+            amp = 2.0 * qbar * (1.0 - qbar) / math.sqrt(m)
         return defect_rates(
             m, q, {1 + i: qbar - amp * s for i, s in enumerate(self.strengths)})
-
-    # -- limit law --------------------------------------------------------
-
-    @property
-    def target_law(self):
-        if self.region == "R1":
-            return "discrete-hermite"
-        if self.region in ("R2", "continuousR2"):
-            return "tw-gue"
-        if self.region in ("R3", "R3-degenerate"):
-            return "goe-squared"
-        return "gaussian"

@@ -197,11 +197,6 @@ def airy_ai(x):
     return airy_pair(x)[0]
 
 
-def airy_ai_prime(x):
-    """Derivative Ai'."""
-    return airy_pair(x)[1]
-
-
 @lru_cache(maxsize=None)
 def _airy_derivative_coeffs(r):
     """Polynomial pair (A, B) with Ai^(r) = A(x) Ai + B(x) Ai'.

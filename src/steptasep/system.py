@@ -129,7 +129,7 @@ def positions_trajectory(spec, seed):
 
     Row t is the configuration after t synchronous steps, column j the
     site of particle j+1. Uses the substream of sample index 0, so the
-    tagged column agrees with simulate_tagged at every time.
+    tagged column agrees with row 0 of sample_ensemble at every time.
     """
     stay = _sample_uniforms(spec.m, spec.horizon, seed, 0) < spec.rate_array()
     out = np.empty((spec.horizon + 1, spec.m), dtype=np.int64)
@@ -137,12 +137,6 @@ def positions_trajectory(spec, seed):
     for t, pos in enumerate(_evolve(stay), 1):
         out[t] = pos
     return out
-
-
-def simulate_tagged(spec, times, seed):
-    """L(t, M) at the requested times for a single trajectory: row 0 of
-    sample_ensemble with master_seed = seed."""
-    return sample_ensemble(spec, times, 1, seed)[0]
 
 
 def _check_times(spec, times):

@@ -35,7 +35,7 @@ from steptasep.fredholm import (
 from steptasep.limit_kernels.kernels import (
     kernel_Kn_block,
     kernel_KG_block,
-    region1_prob_onetime,
+    region1_prob,
 )
 from steptasep.limit_kernels.scaling import ScaledExperiment
 from steptasep.system import (
@@ -213,7 +213,7 @@ class TestOnsetDeterminant:
         ls = sample_ensemble(spec, [t], n, 12,
                              harness.adaptive_chunk(t, m))[:, 0]
         for ell in (1, 2, 3):
-            want = region1_prob_onetime(ell, 0.0)
+            want = region1_prob([0.0], [ell])
             emp = float(np.mean(ls >= ell))
             se = np.sqrt(emp * (1.0 - emp) / n)
             assert abs(emp - want) <= 3.0 * se, (ell, emp, want, se)

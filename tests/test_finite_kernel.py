@@ -211,6 +211,17 @@ class TestDeterminantAgainstEnumeration:
             got = fk.joint_probability([t], [level], rates)
             assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("m, q, t, level", [
+        (30, Fraction(9, 10), 80, 5), (60, Fraction(1, 2), 150, 40)])
+    def test_float_route_stays_a_probability_in_deep_tails(self, m, q, t,
+                                                            level):
+        # exact values 1.6e-64 and 2.9e-212; cancellation in the float
+        # determinant used to leave -4.4e-60 and -1.0e-125
+        want = fk.joint_probability([t], [level], [q] * m, exact=True)
+        got = fk.joint_probability([t], [level], [float(q)] * m)
+        assert 0.0 <= got <= 1.0
+        assert abs(got - float(want)) < 1e-12
+
 
 class TestDeterminantProperties:
     def test_single_particle_binomial_law(self):

@@ -131,6 +131,16 @@ class TestDetContinuous:
             with pytest.raises(ValueError, match="finite"):
                 cdf(math.nan)
 
+    def test_matrix_beyond_byte_budget_rejected(self):
+        # s = -1e4 needs a 40,080-node refined matrix, 12.9 GB of float64
+        def no_block(t1, x1, t2, x2):
+            raise AssertionError("kernel evaluated before the budget check")
+
+        with pytest.raises(ValueError, match="budget"):
+            det_continuous(no_block, [0.0], [-1e4])
+        with pytest.raises(ValueError, match="budget"):
+            tw_gue_cdf(-1e4)
+
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="align"):
             det_continuous(kernel_KG_block, [0.0], [1.0, 2.0])

@@ -40,6 +40,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown verify suite"):
             harness.config_from_dict({"mode": "verify", "suites": ["vibes"]})
 
+    def test_law_names_in_kernel_eval_order(self):
+        assert harness.LAW_NAMES == ("tw-gue", "goe-squared", "gaussian")
+
     def test_casts_applied(self):
         cfg = harness.config_from_dict(
             {"mode": "simulate", "m": "40", "q": "0.1",
@@ -57,14 +60,14 @@ class TestConfig:
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mode": "fig3", "q": 0.2, "qbar": 0.4}))
-        cfg = harness.load_config(path)
+        cfg = harness.resolve_config("fig3", config_path=path)
         assert cfg.mode == "fig3" and cfg.q == 0.2 and cfg.qbar == 0.4
 
     def test_file_must_be_object(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match="flat JSON object"):
-            harness.load_config(path)
+            harness.resolve_config("fig3", config_path=path)
 
     def test_resolve_mode_mismatch(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -195,6 +198,11 @@ class TestSimulateRunner:
         # u = 1e6 maps to t = 10^8: 80 GB of uniforms for a single sample
         cfg = self._config(tmp_path / "run", m=100, u=1e6)
         with pytest.raises(ValueError, match="budget"):
+            harness.run_simulate(cfg)
+
+    def test_defect_region_needs_its_time_ratio(self, tmp_path):
+        cfg = self._config(tmp_path / "run", region="R4", qbar=0.2, u=None)
+        with pytest.raises(ValueError, match=r"\bu\b"):
             harness.run_simulate(cfg)
 
     def test_onset_region_rejected(self, tmp_path):

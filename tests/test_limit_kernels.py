@@ -40,7 +40,7 @@ class TestExtendedAiry:
     def test_forward_matches_direct_oscillatory_route(self):
         for (t1, t2), (x1, x2) in itertools.product(
                 [(0.0, 1.5), (-0.4, 0.8)], [(-1.0, 0.5), (2.0, -2.0)]):
-            mine = kk.extended_airy(t1, x1, t2, x2)
+            mine = float(kk.extended_airy_block(t1, [x1], t2, [x2])[0, 0])
             dp = t2 - t1
             ref, err = integrate.quad(
                 lambda mu: -math.exp(-dp * mu) * sps.airy(x1 - mu)[0]
@@ -50,7 +50,7 @@ class TestExtendedAiry:
     def test_backward_matches_plain_quadrature(self):
         for (t1, t2), (x1, x2) in itertools.product(
                 [(1.5, 0.0), (0.8, 0.8)], [(-1.0, 0.5), (0.3, 0.3)]):
-            mine = kk.extended_airy(t1, x1, t2, x2)
+            mine = float(kk.extended_airy_block(t1, [x1], t2, [x2])[0, 0])
             dp = t1 - t2
             ref = float(mp.quad(
                 lambda lam: mp.exp(-dp * lam) * mp.airyai(x1 + lam)
@@ -77,11 +77,6 @@ class TestExtendedAiry:
             b1 = kk.extended_airy_block(0.0, GRID1, dp, GRID2, order=64)
             b2 = kk.extended_airy_block(0.0, GRID1, dp, GRID2, order=96)
             assert np.max(np.abs(b1 - b2)) < 1e-11
-
-    def test_scalar_matches_block(self):
-        block = kk.extended_airy_block(0.2, GRID1, 0.9, GRID2)
-        assert abs(block[1, 2] - kk.extended_airy(0.2, GRID1[1], 0.9,
-                                                  GRID2[2])) < 1e-14
 
 
 class TestLaplaceComplement:
@@ -166,8 +161,8 @@ class TestBorderIntegrals:
 class TestCriticalKernels:
     def test_k3_continuous_through_zero_time(self):
         for xi1, xi2 in itertools.product((-1.0, 0.5), repeat=2):
-            lo = kk.kernel_K3(-1e-7, xi1, 0.4, xi2)
-            hi = kk.kernel_K3(+1e-7, xi1, 0.4, xi2)
+            lo = float(kk.kernel_K3_block(-1e-7, [xi1], 0.4, [xi2])[0, 0])
+            hi = float(kk.kernel_K3_block(+1e-7, [xi1], 0.4, [xi2])[0, 0])
             assert abs(lo - hi) < 1e-6
 
     def test_k3prime_reduces_to_k3(self):
@@ -186,12 +181,7 @@ class TestCriticalKernels:
 
     def test_k3prime_rejects_negative_strengths(self):
         with pytest.raises(ValueError):
-            kk.kernel_K3prime(0.0, 0.0, 0.0, 0.0, [-0.5])
-
-    def test_k3_scalar_matches_block(self):
-        block = kk.kernel_K3_block(0.1, GRID1, -0.3, GRID2)
-        assert abs(block[0, 1] - kk.kernel_K3(0.1, GRID1[0], -0.3,
-                                              GRID2[1])) < 1e-14
+            kk.kernel_K3prime_block(0.0, [0.0], 0.0, [0.0], [-0.5])
 
 
 def _kn_brute(tau1, xi1, tau2, xi2, eps, step=0.05, half_width=8.0,
@@ -237,7 +227,7 @@ class TestRankNGaussian:
 
     def test_residue_series_matches_brute_contour(self):
         for t1, x1, t2, x2, eps in self.CASES:
-            mine = kk.kernel_Kn(t1, x1, t2, x2, eps)
+            mine = float(kk.kernel_Kn_block(t1, [x1], t2, [x2], eps)[0, 0])
             ref = _kn_brute(t1, x1, t2, x2, eps)
             assert abs(mine - ref) < 1e-12
 
@@ -268,14 +258,9 @@ class TestRankNGaussian:
 
     def test_rejects_empty_or_negative_strengths(self):
         with pytest.raises(ValueError):
-            kk.kernel_Kn(0.0, 0.0, 0.0, 0.0, [])
+            kk.kernel_Kn_block(0.0, [0.0], 0.0, [0.0], [])
         with pytest.raises(ValueError):
-            kk.kernel_Kn(0.0, 0.0, 0.0, 0.0, [0.2, -0.1])
-
-    def test_scalar_matches_block(self):
-        block = kk.kernel_Kn_block(0.5, GRID1, 0.1, GRID2, [0.2, 0.9])
-        assert abs(block[2, 3] - kk.kernel_Kn(0.5, GRID1[2], 0.1, GRID2[3],
-                                              [0.2, 0.9])) < 1e-14
+            kk.kernel_Kn_block(0.0, [0.0], 0.0, [0.0], [0.2, -0.1])
 
 
 class TestGaussianKernel:
@@ -322,13 +307,13 @@ class TestOnsetKernel:
 
     def test_zero_level_marginalizes(self):
         p2 = kk.region1_prob([0.2, 0.9], [3, 0])
-        p1 = kk.region1_prob_onetime(3, 0.2)
+        p1 = kk.region1_prob([0.2], [3])
         assert abs(p2 - p1) < 1e-14
 
     def test_onetime_values_are_decreasing_probabilities(self):
         prev = 1.0 + 1e-12
         for ell in range(0, 7):
-            p = kk.region1_prob_onetime(ell, 0.3)
+            p = kk.region1_prob([0.3], [ell])
             assert 0.0 <= p <= prev
             prev = p
 
@@ -388,7 +373,7 @@ class TestOnsetKernel:
             worst = 0.0
             for ell in range(1, 4):
                 fin = joint_probability([t], [ell], rates)
-                lim = kk.region1_prob_onetime(ell, tau)
+                lim = kk.region1_prob([tau], [ell])
                 worst = max(worst, abs(fin - lim))
             diffs[m] = worst
         assert diffs[200] < 0.07

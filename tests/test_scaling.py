@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from steptasep.fredholm import LAWS
 from steptasep.limit_kernels.scaling import (
+    REGION_TABLE,
     REGIONS,
     ScaledExperiment,
     coef_c,
@@ -143,6 +145,34 @@ class TestScaledExperiment:
         assert abs(r[1] - (0.3 - 0.5 * amp)) < 1e-15
         assert abs(r[2] - (0.3 - 1.0 * amp)) < 1e-15
 
+    def test_array_distances_match_scalar_map(self):
+        cases = [
+            (ScaledExperiment(region="R1", m=100, q=0.1), 0.0),
+            (ScaledExperiment(region="R2", m=100, q=0.1, u=2.0), 0.0),
+            (ScaledExperiment(region="R3", m=100, q=0.1, qbar=0.2), 0.0),
+            (ScaledExperiment(region="R4", m=100, q=0.1, qbar=0.2), 30.0),
+            (ScaledExperiment(region="continuousR2", m=100, q=0.5, u=4.0),
+             0.0),
+            (ScaledExperiment(region="fixedM", m=3, q=0.3, horizon=500.0),
+             0.0),
+        ]
+        ls = np.arange(0, 60, 3, dtype=np.int64)
+        for ex, x in cases:
+            t = ex.time_of(x)
+            whole = ex.s_of(ls, t)
+            assert whole.dtype == np.float64
+            assert [float(s) for s in whole] == [
+                float(ex.s_of(int(l), t)) for l in ls], ex.region
+
+    def test_lattice_time_is_own_scaled_time(self):
+        ex = ScaledExperiment(region="R2", m=100, q=0.1, u=2.0)
+        assert ex.lattice_time() == ex.time_of(0.0) == 200
+        ex = ScaledExperiment(region="R4", m=100, q=0.1, qbar=0.2, u=30.0)
+        assert ex.lattice_time() == 3000
+        ex = ScaledExperiment(region="R4", m=100, q=0.1, qbar=0.2)
+        with pytest.raises(ValueError, match=r"needs u\b"):
+            ex.lattice_time()
+
     def test_target_laws(self):
         assert ScaledExperiment(region="R1", m=10, q=0.1).target_law \
             == "discrete-hermite"
@@ -166,6 +196,31 @@ class TestAdmissibility:
         assert set(REGIONS) == {
             "R1", "R2", "R3", "R3-degenerate", "R4", "R4-degenerate",
             "fixedM", "continuousR2"}
+
+    def test_table_names_families_and_known_laws(self):
+        assert REGIONS == tuple(REGION_TABLE)
+        families = {family for family, _, _ in REGION_TABLE.values()}
+        assert families == {"onset", "bulk", "defect", "fixedM", "clock"}
+        for region, (_, law, _) in REGION_TABLE.items():
+            # only the onset law is discrete, with no tabulated CDF
+            assert law in LAWS or region == "R1", region
+
+    def test_negative_lattice_time_rejected(self):
+        ex = ScaledExperiment(region="R2", m=10, q=0.1, u=2.0)
+        assert ex.time_of(-1.0) == 7
+        with pytest.raises(ValueError, match="< 0"):
+            ex.time_of(-3.0)  # would be t = -19
+        with pytest.raises(ValueError, match="< 0"):
+            ScaledExperiment(region="R1", m=10, q=0.1).time_of(-40.0)
+
+    def test_time_before_onset_has_no_frame(self):
+        # t = 3 is u = 0.3, before the tagged particle can move: the bulk
+        # mean is NaN there
+        ex = ScaledExperiment(region="R2", m=10, q=0.1, u=2.0)
+        with pytest.raises(ValueError, match="frame"):
+            ex.s_of(0, 3)
+        with pytest.raises(ValueError, match="frame"):
+            ex.level_of(0.0, 3)
 
     def test_unknown_region_named_in_error(self):
         with pytest.raises(ValueError, match="region"):

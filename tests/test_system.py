@@ -156,17 +156,10 @@ class TestEnsemble:
             a, sy.sample_ensemble(spec, times, 23, master_seed=43)
         )
 
-    def test_single_sample_matches_simulate_tagged(self):
-        spec = spec_uniform(4, 0.25, 20)
-        times = [3, 10, 20]
-        ens = sy.sample_ensemble(spec, times, 1, master_seed=17)
-        one = sy.simulate_tagged(spec, times, seed=17)
-        assert np.array_equal(ens[0], one)
-
     def test_times_validated(self):
         spec = spec_uniform(3, 0.2, 10)
         with pytest.raises(ValueError):
-            sy.simulate_tagged(spec, [11], seed=0)
+            sy.sample_ensemble(spec, [11], 1, master_seed=0)
         with pytest.raises(ValueError):
             sy.sample_ensemble(spec, [-1], 5, master_seed=0)
 
