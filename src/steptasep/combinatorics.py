@@ -1,10 +1,13 @@
 """Exact combinatorics behind the tagged-particle law.
 
 01 matrices with Bernoulli columns, the left-down last-passage quantity, the
-dual RSK correspondence, growth of Young diagrams, Schur-function weights, and
-brute-force enumeration oracles. Everything is exact: probabilities come out
-as fractions.Fraction whenever the stay rates are rational, so this module is
-the ground truth the determinant machinery is checked against.
+dual RSK correspondence, Schur-function weights of growth sequences, and the
+enumerated law of the tagged path. Everything is exact: probabilities come
+out as fractions.Fraction whenever the stay rates are rational, so this
+module is the ground truth the determinant machinery is checked against.
+The cross-check-only routes (SSYT enumeration of Schur polynomials, the
+enumerated growth law, the geometric-entry variant) live with the tests
+(tests/oracles.py).
 
 Conventions. A matrix is a tuple of N row-tuples of length M with entries in
 {0, 1}. Column c (0-based) carries the stay indicators of particle M - c
@@ -14,18 +17,11 @@ means "stay", entry 0 means "try to hop".
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-import numpy as np
-
 # Hard guard for 2^(N*M) matrix enumerations.
 ENUMERATION_CELL_LIMIT = 22
-
-# Shapes with at most this many cells are evaluated by SSYT enumeration;
-# larger ones go through the Jacobi-Trudi determinant.
-SSYT_CELL_LIMIT = 12
 
 
 def as_fraction(x):
@@ -42,29 +38,6 @@ def as_fraction(x):
 # ---------------------------------------------------------------------------
 # 01 matrices and the tagged-particle trajectory
 # ---------------------------------------------------------------------------
-
-def sample_matrix01(n_rows, n_cols, rates, seed):
-    """Draw a random 01 matrix whose column M+1-j is Bernoulli(q_j).
-
-    Parameters
-    ----------
-    n_rows, n_cols : int
-        Matrix dimensions N, M.
-    rates : sequence of float
-        Stay probabilities q_1..q_M (particle labels, front first).
-    seed : int or numpy Generator
-        Randomness source.
-
-    Returns
-    -------
-    ndarray of shape (n_rows, n_cols) with entries in {0, 1}.
-    """
-    if len(rates) != n_cols:
-        raise ValueError(f"need {n_cols} rates, got {len(rates)}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    column_rates = np.asarray(rates, dtype=float)[::-1]
-    return (rng.random((n_rows, n_cols)) < column_rates).astype(np.int8)
-
 
 def all_matrices(n_rows, n_cols):
     """Yield every 01 matrix of the given size as a tuple of row tuples."""
@@ -147,14 +120,6 @@ def column_word(bits):
     """Second row of the two-line array: column indices (1-based) of the
     1-entries, rows top to bottom, left to right within a row."""
     return [c + 1 for row in bits for c, v in enumerate(row) if v]
-
-
-def longest_nonincreasing_subsequence(word):
-    """Quadratic DP; independent oracle for longest_left_down_path."""
-    best = []
-    for i, x in enumerate(word):
-        best.append(1 + max((best[j] for j in range(i) if word[j] >= x), default=0))
-    return max(best, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +207,6 @@ def first_column_identity(bits):
     return first_column, path_max, (first_column == path_max and symmetric)
 
 
-def growth_shapes(bits):
-    """Diagram sequence: shape of the dual RSK of the first i rows, i=1..N."""
-    p_rows: list[list[int]] = []
-    shapes = []
-    for row in bits:
-        for c, v in enumerate(row):
-            if v:
-                _insert(p_rows, c + 1, bisect_left)
-        shapes.append(tableau_shape(p_rows))
-    return shapes
-
-
 # ---------------------------------------------------------------------------
 # Schur polynomials (exact)
 # ---------------------------------------------------------------------------
@@ -272,40 +225,6 @@ def is_horizontal_strip(lam, mu):
         if i + 1 < len(lam) and lam[i + 1] > m:
             return False
     return True
-
-
-def _ssyt_sum(shape, xs):
-    """Sum of content monomials over all SSYT of the given shape with entries
-    in 1..len(xs). Backtracking over cells in row-major order."""
-    cells = [(r, c) for r, ln in enumerate(shape) for c in range(ln)]
-    n = len(xs)
-    filling = [[0] * ln for ln in shape]
-
-    def extend(k):
-        if k == len(cells):
-            return Fraction(1) * _content_product(filling, xs)
-        r, c = cells[k]
-        lo = 1
-        if c > 0:
-            lo = max(lo, filling[r][c - 1])
-        if r > 0:
-            lo = max(lo, filling[r - 1][c] + 1)
-        total = Fraction(0)
-        for v in range(lo, n + 1):
-            filling[r][c] = v
-            total += extend(k + 1)
-        filling[r][c] = 0
-        return total
-
-    return extend(0)
-
-
-def _content_product(filling, xs):
-    out = Fraction(1)
-    for row in filling:
-        for v in row:
-            out *= xs[v - 1]
-    return out
 
 
 def elementary_symmetric(xs):
@@ -353,10 +272,14 @@ def fraction_determinant(mat):
     return det
 
 
-def _schur_jacobi_trudi(shape, xs):
-    """s_shape as det(h_{shape_i - i + j}); zero when the shape needs more
-    rows than there are variables."""
+def schur_polynomial(shape, xs):
+    """Exact Schur polynomial s_shape(xs) as the Jacobi-Trudi determinant
+    det(h_{shape_i - i + j}); zero when the shape needs more rows than there
+    are variables."""
     shape = tuple(p for p in shape if p > 0)
+    xs = [as_fraction(x) for x in xs]
+    if len(shape) > len(xs):
+        return Fraction(0)
     if not shape:
         return Fraction(1)
     n = len(shape)
@@ -365,23 +288,8 @@ def _schur_jacobi_trudi(shape, xs):
     def h(d):
         return Fraction(table[d]) if d >= 0 else Fraction(0)
 
-    mat = [[h(shape[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)]
-    return fraction_determinant(mat)
-
-
-def schur_polynomial(shape, xs):
-    """Exact Schur polynomial s_shape(xs).
-
-    SSYT enumeration for small shapes, Jacobi-Trudi determinant otherwise;
-    the two routes are cross-checked in the test suite.
-    """
-    shape = tuple(p for p in shape if p > 0)
-    xs = [as_fraction(x) for x in xs]
-    if len(shape) > len(xs):
-        return Fraction(0)
-    if sum(shape) <= SSYT_CELL_LIMIT:
-        return _ssyt_sum(shape, xs)
-    return _schur_jacobi_trudi(shape, xs)
+    return fraction_determinant(
+        [[h(shape[i] - i + j) for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +318,10 @@ def schur_weight(seq, rates):
     return weight
 
 
+# ---------------------------------------------------------------------------
+# Brute-force law of the tagged path
+# ---------------------------------------------------------------------------
+
 def _pushforward(n_rows, n_cols, rates, key):
     """Exact law of key(bits) over all 2^(N*M) matrices."""
     law: dict[tuple, Fraction] = {}
@@ -418,40 +330,6 @@ def _pushforward(n_rows, n_cols, rates, key):
         law[k] = law.get(k, Fraction(0)) + matrix_probability(bits, rates)
     return law
 
-
-def enumerate_growth_law(n_rows, n_cols, rates):
-    """Exact pushforward law of growth sequences over all 2^(N*M) matrices."""
-    return _pushforward(n_rows, n_cols, rates,
-                        lambda bits: tuple(growth_shapes(bits)))
-
-
-def all_growth_sequences(n_rows, max_cols):
-    """Every sequence of diagrams reachable with N rows and M columns:
-    nested, horizontal strips, width at most M."""
-
-    def diagrams_above(mu):
-        # all lam with mu <= lam, lam/mu a horizontal strip, lam_1 <= max_cols
-        mu = tuple(mu)
-        rows = len(mu) + 1
-        choices = []
-        for i in range(rows):
-            hi = mu[i - 1] if i > 0 else max_cols
-            lo = mu[i] if i < len(mu) else 0
-            choices.append(range(lo, hi + 1))
-        for parts in itertools.product(*choices):
-            lam = tuple(p for p in parts if p > 0)
-            if all(parts[i] >= parts[i + 1] for i in range(rows - 1)):
-                yield lam
-
-    seqs = [[]]
-    for _ in range(n_rows):
-        seqs = [s + [lam] for s in seqs for lam in diagrams_above(s[-1] if s else ())]
-    return [tuple(s) for s in seqs]
-
-
-# ---------------------------------------------------------------------------
-# Brute-force law of the tagged path
-# ---------------------------------------------------------------------------
 
 def enumerate_exact_distribution(n_rows, n_cols, rates):
     """Exact joint law of the whole tagged path (L(0), ..., L(N+M-1)).
@@ -470,56 +348,3 @@ def prob_path_at_least(law, constraints):
         if all(path[t] >= level for t, level in constraints):
             total += p
     return total
-
-
-# ---------------------------------------------------------------------------
-# Geometric-entry variant (arrival times / currents)
-# ---------------------------------------------------------------------------
-
-def sample_geometric_matrix(n_rows, n_cols, rates, seed):
-    """Matrix of geometric entries, column j with P(k) = (1-q_j) q_j^k."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    qs = np.asarray(rates, dtype=float)
-    if np.any(qs >= 1) or np.any(qs < 0):
-        raise ValueError("geometric parameters must lie in [0, 1)")
-    return rng.geometric(p=1.0 - qs, size=(n_rows, n_cols)) - 1
-
-
-def last_passage_sum(matrix):
-    """Max entry sum over right/down paths from the top-left to the
-    bottom-right corner. O(N*M)."""
-    matrix = np.asarray(matrix)
-    n_rows, n_cols = matrix.shape
-    dp = np.zeros((n_rows, n_cols), dtype=np.int64)
-    for i in range(n_rows):
-        for j in range(n_cols):
-            best = 0
-            if i > 0:
-                best = dp[i - 1, j]
-            if j > 0 and dp[i, j - 1] > best:
-                best = dp[i, j - 1]
-            dp[i, j] = matrix[i, j] + best
-    return int(dp[-1, -1])
-
-
-def arrival_time(matrix):
-    """Time by which the tagged particle has moved N sites: path maximum
-    plus the N+M-1 deterministic steps."""
-    n_rows, n_cols = np.asarray(matrix).shape
-    return last_passage_sum(matrix) + n_rows + n_cols - 1
-
-
-def geometric_first_row(matrix):
-    """First-row length of the normal RSK shape of the entry multiset word."""
-    matrix = np.asarray(matrix)
-    word = []
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            word.extend([j + 1] * int(matrix[i, j]))
-    rows = normal_rsk(word)
-    return len(rows[0]) if rows else 0
-
-
-def geometric_growth_identity(matrix):
-    """Per-sample identity: RSK first row equals the last-passage maximum."""
-    return geometric_first_row(matrix) == last_passage_sum(matrix)

@@ -1,11 +1,12 @@
 """Fredholm determinant engine and reference distribution laws.
 
-Discrete determinants are evaluated literally on finite index windows.
-Continuous determinants det(I - K) over products of half-lines (s_j, inf)
-use Nystrom discretization: Gauss-Legendre nodes on the truncated windows
-(s_j, s_j + lcut], the symmetrized matrix sqrt(w) K sqrt(w), and a plain
+Discrete determinants are evaluated literally on finite index windows; the
+onset law region1_prob is one, of the discrete Hermite kernel.  Continuous
+determinants det(I - K) over products of half-lines (s_j, inf) use Nystrom
+discretization: Gauss-Legendre nodes on the truncated windows
+(s_j, s_j + LCUT], the symmetrized matrix sqrt(w) K sqrt(w), and a plain
 LU determinant.  Every evaluation is performed twice, the second time with
-doubled order and window length; if the two disagree beyond tolerance the
+doubled order and window length; if the two disagree beyond TOL the
 evaluation refuses to return a number.
 
 The reference laws used by the statistics harness, one LAWS entry each,
@@ -21,12 +22,17 @@ import numpy as np
 
 from .limit_kernels.kernels import (
     extended_airy_block,
-    gaussian_transition,
     kernel_K3_block,
+    kernel_region1,
 )
 
 # largest refined Nystrom matrix det_continuous will build, in bytes
 MATRIX_BYTES = 2e8
+# coarse Nystrom rule: ORDER nodes per window length LCUT; the refined rule
+# doubles both and must move the determinant by less than TOL
+LCUT = 10.0
+ORDER = 40
+TOL = 1e-8
 
 
 class RefinementError(RuntimeError):
@@ -84,12 +90,12 @@ def _det_once(block, taus, esses, lcut, order):
     return float(np.linalg.det(np.eye(offs[-1]) - mat))
 
 
-def det_continuous(block, taus, esses, lcut=10.0, order=40, tol=1e-8):
+def det_continuous(block, taus, esses):
     """det(I - K) on the product of half-lines (s_j, inf).
 
     `block(t1, xs1, t2, xs2)` returns the kernel matrix between node
     arrays.  The value is accepted only if doubling both the node count
-    and the window length moves it by less than `tol`.  Thresholds so
+    and the window length moves it by less than TOL.  Thresholds so
     negative that the refined matrix would outgrow MATRIX_BYTES are
     rejected before any kernel evaluation.
     """
@@ -98,57 +104,47 @@ def det_continuous(block, taus, esses, lcut=10.0, order=40, tol=1e-8):
     if not all(math.isfinite(x) for x in (*taus, *esses)):
         raise ValueError(f"times and thresholds must be finite: "
                          f"{list(taus)}, {list(esses)}")
-    nodes = sum(_window(s, 2.0 * lcut, 2 * order)[1] for s in esses)
+    nodes = sum(_window(s, 2.0 * LCUT, 2 * ORDER)[1] for s in esses)
     if 8 * nodes ** 2 > MATRIX_BYTES:
         raise ValueError(
             f"thresholds {list(esses)} need a {nodes}-node Nystrom matrix, "
             f"above the {MATRIX_BYTES / 1e6:.0f} MB budget")
     if not taus:
         return 1.0
-    coarse = _det_once(block, taus, esses, lcut, order)
-    refined = _det_once(block, taus, esses, 2.0 * lcut, 2 * order)
-    if abs(coarse - refined) >= tol:
-        raise RefinementError(coarse, refined, tol)
+    coarse = _det_once(block, taus, esses, LCUT, ORDER)
+    refined = _det_once(block, taus, esses, 2.0 * LCUT, 2 * ORDER)
+    if abs(coarse - refined) >= TOL:
+        raise RefinementError(coarse, refined, TOL)
     return refined
 
 
-def tw_gue_cdf(s, order=40):
+def tw_gue_cdf(s):
     """Largest-eigenvalue law of the Gaussian unitary ensemble."""
-    return det_continuous(extended_airy_block, [0.0], [float(s)],
-                          order=order)
+    return det_continuous(extended_airy_block, [0.0], [float(s)])
 
 
-def goe2_cdf(s, order=40):
+def goe2_cdf(s):
     """Square of the Gaussian orthogonal ensemble edge law.
 
     One-time determinant of the critically perturbed Airy kernel.
     """
-    return det_continuous(kernel_K3_block, [0.0], [float(s)], order=order)
+    return det_continuous(kernel_K3_block, [0.0], [float(s)])
+
+
+def region1_prob(taus, levels):
+    """P(all onset distances >= l_j) as a finite determinant det(I - K)
+    on the windows {0..l_j-1}."""
+    if len(taus) != len(levels):
+        raise ValueError("times and levels must align")
+    windows = [range(max(0, int(ell))) for ell in levels]
+    return det_discrete(
+        lambda i, x, j, y: kernel_region1(taus[i], x, taus[j], y), windows)
 
 
 def gaussian_r4_cdf(s):
     """Stationary law of the defect-dominated regime: N(0, 1/2); s may be
     a scalar or an array."""
     return 0.5 * (1.0 + np.vectorize(math.erf, otypes=[float])(s))
-
-
-def ou_joint_cdf_quadrature(s1, s2, tau1, tau2, order=160, floor=-8.0):
-    """P(X(tau1) <= s1, X(tau2) <= s2) for the stationary Gaussian process,
-    by direct two-dimensional quadrature of density times transition."""
-    if tau1 == tau2:
-        return gaussian_r4_cdf(min(s1, s2))
-    if tau1 > tau2:
-        s1, s2, tau1, tau2 = s2, s1, tau2, tau1
-    t, w = np.polynomial.legendre.leggauss(order)
-
-    def nodes(lo, hi):
-        return (lo + hi) / 2.0 + (hi - lo) / 2.0 * t, (hi - lo) / 2.0 * w
-
-    x1, w1 = nodes(floor, s1)
-    x2, w2 = nodes(floor, s2)
-    dens = np.exp(-x1 ** 2) / math.sqrt(math.pi)
-    trans = gaussian_transition(x1[:, None], x2[None, :], tau2 - tau1)
-    return float(w1 @ (dens[:, None] * trans) @ w2)
 
 
 def ks_distance(samples, cdf):

@@ -46,10 +46,6 @@ from .system import (
     uniform_rates,
 )
 
-MODES = ("simulate", "exact-dist", "kernel-eval", "verify",
-         "fig2", "fig3", "fig8")
-SUITES = ("combinatorial-exhaustive", "oracle-vs-fredholm",
-          "kernel-crosschecks", "mc-vs-theory")
 LAW_NAMES = tuple(LAWS)
 
 _MODE_DEFAULTS = {
@@ -412,6 +408,7 @@ _SUITE_RUNNERS = {
     "kernel-crosschecks": _suite_kernels,
     "mc-vs-theory": _suite_mc,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def run_verify(cfg):
@@ -512,6 +509,7 @@ RUNNERS = {
     "fig3": run_fig3,
     "fig8": run_fig8,
 }
+MODES = tuple(RUNNERS)
 
 
 def run(cfg):

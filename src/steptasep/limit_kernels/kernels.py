@@ -36,6 +36,8 @@ from .special import (
 )
 
 _SQRT_PI = math.sqrt(math.pi)
+# Gauss-Legendre order per panel of the half-line and contour rules
+_ORDER = 64
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +84,7 @@ def airy_heat_integral(xi1, xi2, dpos):
         return np.exp(expo) / math.sqrt(4.0 * math.pi * dpos)
 
 
-def extended_airy_block(tau1, xis1, tau2, xis2, order=64):
+def extended_airy_block(tau1, xis1, tau2, xis2, order=_ORDER):
     """Extended Airy kernel on node arrays; rows xis1, columns xis2."""
     xis1 = np.atleast_1d(np.asarray(xis1, dtype=float))
     xis2 = np.atleast_1d(np.asarray(xis2, dtype=float))
@@ -110,7 +112,7 @@ def airy_kernel_cd(xi1, xi2):
     return (a1 * p2 - p1 * a2) / (xi1 - xi2)
 
 
-def airy_laplace_complement(tau, xi, order=64):
+def airy_laplace_complement(tau, xi):
     """e^{tau*xi - tau^3/3} - int_0^inf e^{-tau*lam} Ai(xi+lam) dlam.
 
     Equals int_{-inf}^0 e^{-tau*lam} Ai(xi+lam) dlam for every tau.  For
@@ -122,28 +124,28 @@ def airy_laplace_complement(tau, xi, order=64):
     scalar = xi.ndim == 0
     xi = np.atleast_1d(xi)
     if tau > -1.5:
-        lam, w = _half_line_rule(max(0.0, -tau), float(xi.min()), order)
+        lam, w = _half_line_rule(max(0.0, -tau), float(xi.min()), _ORDER)
         vals = airy_ai(xi[:, None] + lam[None, :])
         integral = (vals * (w * np.exp(-tau * lam))) @ np.ones_like(lam)
         out = np.exp(tau * xi - tau ** 3 / 3.0) - integral
     else:
         # short panels resolve the Airy oscillation under the e^{tau*mu} damp
-        mu, w = _paneled_rule(45.0 / (-tau), order)
+        mu, w = _paneled_rule(45.0 / (-tau), _ORDER)
         vals = airy_ai(xi[:, None] - mu[None, :])
         out = (vals * (w * np.exp(tau * mu))) @ np.ones_like(mu)
     return float(out[0]) if scalar else out
 
 
-def kernel_K3_block(tau1, xis1, tau2, xis2, order=64):
+def kernel_K3_block(tau1, xis1, tau2, xis2):
     """Critical-defect kernel: extended Airy plus a rank-one border term."""
     xis1 = np.atleast_1d(np.asarray(xis1, dtype=float))
     xis2 = np.atleast_1d(np.asarray(xis2, dtype=float))
-    base = extended_airy_block(tau1, xis1, tau2, xis2, order)
-    border = airy_laplace_complement(tau1, xis1, order)
+    base = extended_airy_block(tau1, xis1, tau2, xis2)
+    border = airy_laplace_complement(tau1, xis1)
     return base + np.outer(border, airy_ai(xis2))
 
 
-def _perturbation_i_all(tau1, xis, etas, order=64, shift=1.0):
+def _perturbation_i_all(tau1, xis, etas, shift=1.0):
     """I_j(tau1, xi) for j = 1..n, on the descending V contour.
 
     The contour vertex sits at i*(min_k(eta_k - tau1) - shift), below every
@@ -157,8 +159,8 @@ def _perturbation_i_all(tau1, xis, etas, order=64, shift=1.0):
     # keeps the ray exponent c^2 u / 2 from overflowing when poles are high
     c = min(min(e - tau1 for e in etas) - shift, 2.0)
     top = max(9.0, 2.5 * abs(c))
-    u1, w1 = _panel_nodes(0.0, 2.0, order)
-    u2, w2 = _panel_nodes(2.0, top, order)
+    u1, w1 = _panel_nodes(0.0, 2.0, _ORDER)
+    u2, w2 = _panel_nodes(2.0, top, _ORDER)
     u = np.concatenate([u1, u2])
     wq = np.concatenate([w1, w2])
     w = 1j * c + u * np.exp(1j * math.pi / 6.0)
@@ -191,16 +193,16 @@ def _perturbation_j_all(tau2, xis, etas):
     return out
 
 
-def kernel_K3prime_block(tau1, xis1, tau2, xis2, etas, order=64):
+def kernel_K3prime_block(tau1, xis1, tau2, xis2, etas):
     """Multi-defect critical kernel: extended Airy plus sum_j I_j x J_j."""
     if any(e < 0 for e in etas):
         raise ValueError("defect strengths must be nonnegative")
     xis1 = np.atleast_1d(np.asarray(xis1, dtype=float))
     xis2 = np.atleast_1d(np.asarray(xis2, dtype=float))
-    block = extended_airy_block(tau1, xis1, tau2, xis2, order)
+    block = extended_airy_block(tau1, xis1, tau2, xis2)
     if not etas:
         return block
-    i_all = _perturbation_i_all(tau1, xis1, etas, order)
+    i_all = _perturbation_i_all(tau1, xis1, etas)
     j_all = _perturbation_j_all(tau2, xis2, etas)
     return block + i_all.T @ j_all
 
@@ -351,15 +353,3 @@ def kernel_region1(tau1, x1, tau2, x2):
     if tau1 < tau2:
         total -= phi_poisson(x1, x2, tau2 - tau1)
     return total
-
-
-def region1_prob(taus, levels):
-    """P(all onset distances >= l_j) as a finite determinant det(I - K)
-    on the windows {0..l_j-1}."""
-    from ..fredholm import det_discrete  # fredholm imports this module
-
-    if len(taus) != len(levels):
-        raise ValueError("times and levels must align")
-    windows = [range(max(0, int(ell))) for ell in levels]
-    return det_discrete(
-        lambda i, x, j, y: kernel_region1(taus[i], x, taus[j], y), windows)

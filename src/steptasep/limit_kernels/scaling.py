@@ -151,8 +151,7 @@ class ScaledExperiment:
                 raise ValueError(
                     f"region {r} pins u to the capture point u_c={uc}; "
                     f"got u={self.u}")
-        if (family == "defect" and slow == "one" and self.u is not None
-                and self.u <= uc):
+        if family == "defect" and self.u is not None and self.u <= uc:
             raise ValueError(f"region {r} needs u > u_c={uc}; got u={self.u}")
         if family == "clock" and (self.u is None or self.u <= 1.0):
             raise ValueError(f"region {r} needs u_tilde > 1")
@@ -242,8 +241,8 @@ class ScaledExperiment:
         else:
             center = (math.sqrt((1.0 - q) * t / m) - 1.0) ** 2 * m
             width = continuous_coefs(self.u)[2] * m ** (1 / 3)
-        if not (math.isfinite(center) and math.isfinite(width)):
-            raise ValueError(f"lattice time {t} has no finite frame")
+        if not (math.isfinite(center) and math.isfinite(width)) or width == 0:
+            raise ValueError(f"lattice time {t} has no finite nonzero frame")
         return center, width
 
     def level_of(self, s, t):

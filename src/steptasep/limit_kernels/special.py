@@ -40,6 +40,9 @@ _SADDLE_LO = 4.0
 _SADDLE_HI = 9.0
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# trapezoid nodes y on the line z = 1 + i*y of psi1_line_integral
+_LINE_STEP = 0.05
+_LINE_Y = np.arange(-12.0, 12.0 + _LINE_STEP / 2, _LINE_STEP)
 
 
 def _asymptotic_u_coeffs(count):
@@ -248,24 +251,16 @@ def psi2_sequence(n, tau):
     return out
 
 
-def psi2(x, tau):
-    """Lattice weight: h_x(tau) for x >= 0, zero for negative x."""
-    if x < 0:
-        return 0.0
-    return float(psi2_sequence(x, tau)[x])
-
-
-def psi1_line_integral(x, tau, step=0.05, half_width=12.0):
+def psi1_line_integral(x, tau):
     """Vertical-line route for psi1, valid for every integer x.
 
     (1/2pi) int dy Re[(exp(z^2/2 - tau z) z^(x-1))], z = 1 + i y.  The
-    envelope is exp((1-y^2)/2), so a plain trapezoid on |y| <= half_width
-    is spectrally accurate.
+    envelope is exp((1-y^2)/2), so a plain trapezoid on |y| <= 12 is
+    spectrally accurate.
     """
-    y = np.arange(-half_width, half_width + step / 2, step)
-    z = 1.0 + 1j * y
+    z = 1.0 + 1j * _LINE_Y
     vals = np.exp(z * z / 2.0 - tau * z) * z ** (x - 1)
-    return float(np.real(np.sum(vals)) * step / (2.0 * math.pi))
+    return float(np.real(np.sum(vals)) * _LINE_STEP / (2.0 * math.pi))
 
 
 def psi1(x, tau):

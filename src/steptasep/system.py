@@ -7,7 +7,7 @@ synchronous. Labels count from the front: particle 1 is rightmost, the tagged
 particle M starts at the origin, and L(t, M) is the distance it has travelled.
 
 The rule is written once, in `_evolve`, over stay bits of any leading batch
-shape; the single-trajectory, all-particle and ensemble paths all drive it.
+shape; the all-particle trajectory and the ensemble sampler both drive it.
 Its independent route is `combinatorics.trajectory_from_matrix`, the same
 dynamics read off a 01 matrix, and the two are tested to agree.
 
@@ -90,26 +90,6 @@ def _evolve(stay):
         move[..., 1:] &= (pos[..., :-1] - pos[..., 1:]) > 1
         pos += move
         yield pos
-
-
-def trajectory_from_uniforms(rates, uniforms, tagged=None):
-    """Distances travelled by a tagged particle, driven by given uniforms.
-
-    uniforms has shape (T, m); row t drives the step from time t to t+1
-    (particle i stays when uniforms[t, i-1] < q_i).
-
-    Returns an integer array of length T+1 starting at 0.
-    """
-    rates = np.asarray(rates, dtype=float)
-    uniforms = np.asarray(uniforms, dtype=float)
-    m = rates.size
-    if uniforms.ndim != 2 or uniforms.shape[1] != m:
-        raise ValueError("uniform block must have one column per particle")
-    tagged = m if tagged is None else tagged
-    out = np.zeros(uniforms.shape[0] + 1, dtype=np.int64)
-    for t, pos in enumerate(_evolve(uniforms < rates), 1):
-        out[t] = pos[tagged - 1] - (m - tagged)
-    return out
 
 
 def _sample_uniforms(m, horizon, master_seed, index):

@@ -24,18 +24,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import phi
+from oracles import (
+    all_growth_sequences,
+    enumerate_growth_law,
+    ou_joint_cdf_quadrature,
+    phi,
+)
 from steptasep import combinatorics as comb
 from steptasep import harness
 from steptasep.fredholm import (
     det_continuous,
-    ou_joint_cdf_quadrature,
+    region1_prob,
     tw_gue_cdf,
 )
 from steptasep.limit_kernels.kernels import (
     kernel_Kn_block,
     kernel_KG_block,
-    region1_prob,
 )
 from steptasep.limit_kernels.scaling import ScaledExperiment
 from steptasep.system import (
@@ -64,9 +68,9 @@ class TestGrowthLawIsSchurMeasure:
         for n_rows in range(1, 4):
             for n_cols in range(1, 4):
                 rs = rates[:n_cols]
-                law = comb.enumerate_growth_law(n_rows, n_cols, rs)
+                law = enumerate_growth_law(n_rows, n_cols, rs)
                 assert sum(law.values()) == Fraction(1)
-                for seq in comb.all_growth_sequences(n_rows, n_cols):
+                for seq in all_growth_sequences(n_rows, n_cols):
                     assert law.get(seq, Fraction(0)) == \
                         comb.schur_weight(seq, rs)
 

@@ -25,6 +25,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import airy as scipy_airy
 from scipy.stats import multivariate_normal
 
+from oracles import ou_joint_cdf_quadrature
 from steptasep.finite_kernel import joint_probability
 from steptasep.fredholm import (
     RefinementError,
@@ -34,8 +35,8 @@ from steptasep.fredholm import (
     gaussian_r4_cdf,
     goe2_cdf,
     ks_distance,
-    ou_joint_cdf_quadrature,
     reference_law,
+    region1_prob,
     tw_gue_cdf,
 )
 from steptasep.limit_kernels.kernels import (
@@ -43,7 +44,6 @@ from steptasep.limit_kernels.kernels import (
     kernel_KG_block,
     kernel_Kn_block,
     kernel_region1,
-    region1_prob,
 )
 from steptasep.limit_kernels.scaling import ScaledExperiment
 from steptasep.system import uniform_rates

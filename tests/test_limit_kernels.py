@@ -20,9 +20,10 @@ from scipy import special as sps
 
 from oracles import _perturbation_i_line
 from steptasep.finite_kernel import joint_probability
+from steptasep.fredholm import region1_prob
 from steptasep.limit_kernels import kernels as kk
 from steptasep.limit_kernels.scaling import ScaledExperiment
-from steptasep.limit_kernels.special import psi1, psi2
+from steptasep.limit_kernels.special import psi1, psi2_sequence
 
 mp.mp.dps = 30
 
@@ -302,18 +303,18 @@ class TestOnsetKernel:
             for comb in itertools.combinations(range(len(pts)), k):
                 sub = mat[np.ix_(comb, comb)]
                 total += (-1) ** k * np.linalg.det(sub)
-        det = kk.region1_prob(taus, levels)
+        det = region1_prob(taus, levels)
         assert abs(det - total) < 1e-12
 
     def test_zero_level_marginalizes(self):
-        p2 = kk.region1_prob([0.2, 0.9], [3, 0])
-        p1 = kk.region1_prob([0.2], [3])
+        p2 = region1_prob([0.2, 0.9], [3, 0])
+        p1 = region1_prob([0.2], [3])
         assert abs(p2 - p1) < 1e-14
 
     def test_onetime_values_are_decreasing_probabilities(self):
         prev = 1.0 + 1e-12
         for ell in range(0, 7):
-            p = kk.region1_prob([0.3], [ell])
+            p = region1_prob([0.3], [ell])
             assert 0.0 <= p <= prev
             prev = p
 
@@ -322,8 +323,8 @@ class TestOnsetKernel:
         # which converges only conditionally; Abel regularization of the
         # literal tail must agree with the closed re-summation
         x1, x2, tau1, tau2 = 1, 3, 0.4, 1.1
-        window = sum(psi1(x1 - m, tau1) * psi2(x2 - m, tau2)
-                     for m in range(0, x2 + 1))
+        h = psi2_sequence(x2, tau2)
+        window = sum(psi1(x1 - m, tau1) * h[x2 - m] for m in range(0, x2 + 1))
         target = kk.phi_poisson(x1, x2, tau2 - tau1) - window
 
         def abel_tail(r, terms):
@@ -373,7 +374,7 @@ class TestOnsetKernel:
             worst = 0.0
             for ell in range(1, 4):
                 fin = joint_probability([t], [ell], rates)
-                lim = kk.region1_prob([tau], [ell])
+                lim = region1_prob([tau], [ell])
                 worst = max(worst, abs(fin - lim))
             diffs[m] = worst
         assert diffs[200] < 0.07
@@ -382,4 +383,4 @@ class TestOnsetKernel:
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            kk.region1_prob([0.1], [1, 2])
+            region1_prob([0.1], [1, 2])

@@ -222,6 +222,15 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="frame"):
             ex.level_of(0.0, 3)
 
+    def test_fixed_count_frame_has_no_width_at_time_zero(self):
+        # the fixedM width sqrt(2q(1-q)t) vanishes at t = 0
+        ex = ScaledExperiment(region="fixedM", m=3, q=0.3, horizon=500.0)
+        with pytest.raises(ValueError, match="frame"):
+            ex.s_of(1, 0)
+        for s in (-2.0, 0.0, 3.0):
+            with pytest.raises(ValueError, match="frame"):
+                ex.level_of(s, 0)
+
     def test_unknown_region_named_in_error(self):
         with pytest.raises(ValueError, match="region"):
             ScaledExperiment(region="R5", m=10, q=0.1)
@@ -238,6 +247,15 @@ class TestAdmissibility:
         ex = ScaledExperiment(region="R4", m=10, q=0.1, qbar=0.2)
         with pytest.raises(ValueError, match="u_c"):
             ex.time_of(9.5)
+
+    def test_degenerate_defect_region_needs_supercritical_time(self):
+        # u_c = 10 at q = 0.1, qbar = 0.2
+        with pytest.raises(ValueError, match="u_c"):
+            ScaledExperiment(region="R4-degenerate", m=100, q=0.1, qbar=0.2,
+                             u=5.0, strengths=(0.2,))
+        ex = ScaledExperiment(region="R4-degenerate", m=100, q=0.1, qbar=0.2,
+                              u=30.0, strengths=(0.2,))
+        assert ex.lattice_time() == 3000
 
     def test_defect_rate_window_enforced(self):
         with pytest.raises(ValueError, match="qbar"):

@@ -22,7 +22,6 @@ from steptasep.limit_kernels.special import (
     airy_pair,
     psi1,
     psi1_line_integral,
-    psi2,
     psi2_sequence,
 )
 
@@ -126,16 +125,6 @@ class TestHermiteWeights:
             plain = (2.0 ** (-n / 2.0) * hermite_h(n, tau / math.sqrt(2.0))
                      / math.factorial(n))
             assert abs(seq[n] - plain) < 1e-12 * max(1.0, abs(plain))
-
-    def test_psi2_zero_below_range(self):
-        assert psi2(-1, 0.7) == 0.0
-        assert psi2(-5, -2.0) == 0.0
-
-    def test_psi2_scalar_matches_sequence(self):
-        tau = -0.8
-        seq = psi2_sequence(6, tau)
-        for n in range(7):
-            assert psi2(n, tau) == seq[n]
 
 
 class TestParabolicCylinder:

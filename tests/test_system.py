@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import trajectory_from_uniforms
 from steptasep import combinatorics as comb
 from steptasep import system as sy
 
@@ -71,7 +72,7 @@ class TestAgainstMatrixPicture:
             for m in range(1, 4):
                 for bits in comb.all_matrices(n_rows, m):
                     want, _ = comb.trajectory_from_matrix(bits)
-                    got = sy.trajectory_from_uniforms(
+                    got = trajectory_from_uniforms(
                         rates[:m], self.matrix_to_uniforms(bits, rates)
                     )
                     assert list(got) == want, bits
@@ -112,7 +113,7 @@ class TestPathProperties:
             m = int(rng.integers(1, 7))
             horizon = int(rng.integers(1, 40))
             rates = rng.uniform(0.05, 0.9, size=m)
-            path = sy.trajectory_from_uniforms(rates, rng.random((horizon, m)))
+            path = trajectory_from_uniforms(rates, rng.random((horizon, m)))
             assert path[0] == 0
             assert set(np.diff(path).tolist()) <= {0, 1}
             for t, x in enumerate(path):
@@ -126,8 +127,8 @@ class TestPathProperties:
             u = rng.random((horizon, m))
             slow = rng.uniform(0.3, 0.9, size=m)
             fast = np.clip(slow - rng.uniform(0, 0.3, size=m), 0, None)
-            path_slow = sy.trajectory_from_uniforms(slow, u)
-            path_fast = sy.trajectory_from_uniforms(fast, u)
+            path_slow = trajectory_from_uniforms(slow, u)
+            path_fast = trajectory_from_uniforms(fast, u)
             assert np.all(path_fast >= path_slow)
 
     def test_particles_behind_are_irrelevant(self):
@@ -139,8 +140,8 @@ class TestPathProperties:
             u_ext = np.concatenate([u, rng.random((horizon, extra))], axis=1)
             rates = rng.uniform(0.1, 0.8, size=m)
             rates_ext = np.concatenate([rates, rng.uniform(0.1, 0.8, size=extra)])
-            a = sy.trajectory_from_uniforms(rates, u, tagged=m)
-            b = sy.trajectory_from_uniforms(rates_ext, u_ext, tagged=m)
+            a = trajectory_from_uniforms(rates, u, tagged=m)
+            b = trajectory_from_uniforms(rates_ext, u_ext, tagged=m)
             assert np.array_equal(a, b)
 
 
