@@ -34,9 +34,9 @@ from .limit_kernels.kernels import (
     kernel_Kn_block,
 )
 from .limit_kernels.scaling import ScaledExperiment
-from .system import (
-    UNIFORM_BLOCK_BYTES,
+from .system import (  # adaptive_chunk is read as harness.adaptive_chunk
     SystemSpec,
+    adaptive_chunk,
     critical_scaled_time,
     defect_rates,
     mean_bulk,
@@ -168,13 +168,6 @@ def resolve_config(mode, config_path=None, seed=None, out=None,
     return config_from_dict(data)
 
 
-def adaptive_chunk(horizon, m):
-    """Sample block size keeping the transient uniform block near
-    UNIFORM_BLOCK_BYTES."""
-    cells = max(1, horizon * m * 8)
-    return max(1, min(64, int(UNIFORM_BLOCK_BYTES / cells)))
-
-
 # ---------------------------------------------------------------------------
 # File writers (fixed formatting for byte-stable output)
 # ---------------------------------------------------------------------------
@@ -259,8 +252,7 @@ def run_simulate(cfg):
             "Gaussian regions")
     t = exp.lattice_time()
     spec = SystemSpec(m=cfg.m, rates=exp.rates(), horizon=t)
-    ls = sample_ensemble(spec, [t], cfg.n_samples, cfg.master_seed,
-                         adaptive_chunk(t, cfg.m))[:, 0]
+    ls = sample_ensemble(spec, [t], cfg.n_samples, cfg.master_seed)[:, 0]
     esses = exp.s_of(ls, t)
     law = reference_law(law_name)
     ks = ks_distance(esses, law.cdf)
@@ -393,7 +385,7 @@ def _suite_mc():
     m, q, u, n = 400, 0.1, 5.0, 2000
     t = int(u * m)
     spec = SystemSpec(m=m, rates=uniform_rates(m, q), horizon=t)
-    ls = sample_ensemble(spec, [t], n, 7, adaptive_chunk(t, m))[:, 0]
+    ls = sample_ensemble(spec, [t], n, 7)[:, 0]
     mean_gap = abs(float(np.mean(ls)) / m - mean_bulk(u, q))
     rng = np.random.Generator(np.random.Philox(key=[9, 0]))
     xs = rng.normal(scale=1.0 / math.sqrt(2.0), size=10000)

@@ -93,7 +93,9 @@ def extended_airy_block(tau1, xis1, tau2, xis2, order=_ORDER):
     floor = min(xis1.min(), xis2.min())
     lam, w = _half_line_rule(growth, floor, order)
     a1 = airy_ai(xis1[:, None] + lam[None, :])
-    a2 = airy_ai(xis2[:, None] + lam[None, :])
+    # one-time blocks of det(I - K) pair a node set with itself
+    a2 = a1 if np.array_equal(xis1, xis2) else airy_ai(
+        xis2[:, None] + lam[None, :])
     with np.errstate(over="ignore"):
         weight = w * np.exp(-delta * lam)
     block = (a1 * weight) @ a2.T
@@ -156,8 +158,9 @@ def _perturbation_i_all(tau1, xis, etas, shift=1.0):
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     etas = list(etas)
     # the contour only has to stay below every pole; capping the vertex
-    # keeps the ray exponent c^2 u / 2 from overflowing when poles are high
-    c = min(min(e - tau1 for e in etas) - shift, 2.0)
+    # keeps the ray exponent c^2 u / 2 from overflowing when poles are high,
+    # and e^{-xi c} from magnifying rounding at negative xi
+    c = min(min(e - tau1 for e in etas) - shift, 1.0)
     top = max(9.0, 2.5 * abs(c))
     u1, w1 = _panel_nodes(0.0, 2.0, _ORDER)
     u2, w2 = _panel_nodes(2.0, top, _ORDER)
@@ -239,21 +242,27 @@ def kernel_KG_block(tau1, xis1, tau2, xis2):
     return block
 
 
+def _series_product(a, b, length):
+    """Cauchy product of power series over the last axis, up to
+    h^(length-1); leading axes broadcast, and j runs over a."""
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+                   + (length,), dtype=complex)
+    for r in range(length):
+        for j in range(r + 1):
+            out[..., r] += a[..., j] * b[..., r - j]
+    return out
+
+
 def _exp_quadratic_series(c_lin, length):
     """Taylor coefficients of exp(c_lin*h - h^2) up to h^(length-1)."""
-    lin = np.zeros((np.size(c_lin), length), dtype=complex)
-    lin[:, 0] = 1.0
     c = np.asarray(c_lin, dtype=complex).ravel()
+    lin = np.ones((len(c), length), dtype=complex)
     for r in range(1, length):
         lin[:, r] = lin[:, r - 1] * c / r
     quad = np.zeros(length, dtype=complex)
-    for j in range(0, length, 2):
-        k = j // 2
-        quad[j] = (-1.0) ** k / math.factorial(k)
-    out = np.zeros_like(lin)
-    for r in range(length):
-        out[:, r] = sum(lin[:, r - j] * quad[j] for j in range(0, r + 1, 2))
-    return out
+    quad[::2] = [(-1.0) ** k / math.factorial(k)
+                 for k in range((length + 1) // 2)]
+    return _series_product(quad, lin, length)
 
 
 def _inverse_power_series(base, power, length):
@@ -262,15 +271,6 @@ def _inverse_power_series(base, power, length):
     out[0] = base ** (-power)
     for r in range(1, length):
         out[r] = out[r - 1] * (-(power + r - 1)) / (r * base)
-    return out
-
-
-def _convolve_trunc(a, b, length):
-    out = np.zeros(length, dtype=complex)
-    for r in range(length):
-        for j in range(r + 1):
-            if j < len(a) and r - j < len(b):
-                out[r] += a[j] * b[r - j]
     return out
 
 
@@ -312,12 +312,9 @@ def kernel_Kn_block(tau1, xis1, tau2, xis2, eps, step=0.05, half_width=8.0):
         for beta, m_b in groups.items():
             if beta == alpha:
                 continue
-            other = _convolve_trunc(
+            other = _series_product(
                 other, _inverse_power_series(alpha - beta, m_b, mult), mult)
-        s_g = np.zeros_like(series)                         # (n_xi1, mult)
-        for r in range(mult):
-            for j in range(r + 1):
-                s_g[:, r] += series[:, r - j] * other[j]
+        s_g = _series_product(other, series, mult)          # (n_xi1, mult)
         gpow = np.stack([(big_c - alpha) ** (-(r + 1)) for r in range(mult)])
         resid += (base[:, None] * s_g) @ gpow[::-1]
     resid *= math.exp(n * tau1)

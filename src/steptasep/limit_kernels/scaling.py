@@ -231,7 +231,8 @@ class ScaledExperiment:
         if self.family == "onset":
             return -0.0, -1.0
         if self.family == "bulk":
-            center = mean_bulk(uj, q) * m
+            # mean_bulk takes the square root of u - 1
+            center = mean_bulk(uj, q) * m if uj >= 1.0 else math.nan
             width = coef_d(self.u, q) * m ** (1 / 3)
         elif self.family == "defect":
             center = mean_defect(uj, q, self.qbar) * m

@@ -13,7 +13,11 @@ catastrophically and the asymptotic series has not yet converged.  The
 series is accumulated in extended precision (np.longdouble) for the
 oscillatory side.  Downstream kernel integrals weight Ai by growing
 exponentials, so relative accuracy in the decay band matters, not just
-absolute accuracy.
+absolute accuracy.  Both asymptotic tails go through one summer,
+sum_k c_k (unit/zeta)^k with unit -1 on the decaying side and unit i on the
+oscillatory side, whose real and imaginary parts are the P and Q series.
+Higher derivatives come from one (Ai, Ai') evaluation and the recurrence
+Ai^(k+2) = x Ai^(k) + k Ai^(k-1), which is Ai'' = x Ai differentiated.
 
 Hermite polynomials enter as the factorial-scaled sequence
 h_n(tau) = 2^(-n/2) H_n(tau/sqrt(2))/n!, whose recurrence
@@ -27,7 +31,6 @@ Gaussian envelope and no sign cancellation.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -85,47 +88,18 @@ def _airy_series(x):
     return ai.astype(float), aip.astype(float)
 
 
-def _sum_even_odd(zeta, coeffs):
-    """(P, Q) with P = sum (-1)^k c_{2k} zeta^-2k, Q the odd companion."""
-    z2 = zeta * zeta
-    p = np.zeros_like(zeta)
-    q = np.zeros_like(zeta)
-    active = np.ones(zeta.shape, dtype=bool)
-    prev_mag = np.full_like(zeta, np.inf)
-    pow_even = np.ones_like(zeta)
-    for k in range(0, len(coeffs) // 2 - 1):
-        sign = 1.0 if k % 2 == 0 else -1.0
-        even = coeffs[2 * k] * pow_even
-        odd = coeffs[2 * k + 1] * pow_even / zeta
-        mag = np.abs(even) + np.abs(odd)
-        active &= mag < prev_mag
-        p = np.where(active, p + sign * even, p)
-        q = np.where(active, q + sign * odd, q)
-        prev_mag = mag
-        pow_even = pow_even / z2
-        if not active.any():
-            break
-    return p, q
+def _asymptotic_sum(zeta, unit, coeffs):
+    """sum_k c_k (unit/zeta)^k, each entry stopped before its terms grow.
 
-
-def _airy_asymptotic_pos(x):
-    zeta = (2.0 / 3.0) * x ** 1.5
-    root4 = x ** 0.25
-    s_ai = _signed_series(zeta, _UK)
-    s_aip = _signed_series(zeta, _VK)
-    e = np.exp(-zeta)
-    ai = e / (2.0 * _SQRT_PI * root4) * s_ai
-    aip = -root4 * e / (2.0 * _SQRT_PI) * s_aip
-    return ai, aip
-
-
-def _signed_series(zeta, coeffs):
-    total = np.full_like(zeta, coeffs[0])
-    pw = np.ones_like(zeta)
+    unit -1 gives the decaying series of x >= 9; unit 1j the oscillatory
+    pair of x <= -8, P its real part and Q its imaginary part.
+    """
+    pw = np.ones(zeta.shape, dtype=np.result_type(zeta, unit))
+    total = coeffs[0] * pw
     prev_mag = np.full_like(zeta, np.inf)
     active = np.ones(zeta.shape, dtype=bool)
     for k in range(1, len(coeffs)):
-        pw = -pw / zeta
+        pw = pw * unit / zeta
         term = coeffs[k] * pw
         mag = np.abs(term)
         active &= mag < prev_mag
@@ -134,6 +108,17 @@ def _signed_series(zeta, coeffs):
         if not active.any():
             break
     return total
+
+
+def _airy_asymptotic_pos(x):
+    zeta = (2.0 / 3.0) * x ** 1.5
+    root4 = x ** 0.25
+    s_ai = _asymptotic_sum(zeta, -1, _UK)
+    s_aip = _asymptotic_sum(zeta, -1, _VK)
+    e = np.exp(-zeta)
+    ai = e / (2.0 * _SQRT_PI * root4) * s_ai
+    aip = -root4 * e / (2.0 * _SQRT_PI) * s_aip
+    return ai, aip
 
 
 _SADDLE_U = np.arange(-6.5, 6.5 + 0.025, 0.05)
@@ -164,12 +149,12 @@ def _airy_asymptotic_neg(x):
     t = -x
     zeta = (2.0 / 3.0) * t ** 1.5
     root4 = t ** 0.25
-    p, q = _sum_even_odd(zeta, _UK)
-    pp, qp = _sum_even_odd(zeta, _VK)
+    s_ai = _asymptotic_sum(zeta, 1j, _UK)
+    s_aip = _asymptotic_sum(zeta, 1j, _VK)
     c = np.cos(zeta - 0.25 * math.pi)
     s = np.sin(zeta - 0.25 * math.pi)
-    ai = (c * p + s * q) / (_SQRT_PI * root4)
-    aip = root4 * (s * pp - c * qp) / _SQRT_PI
+    ai = (c * s_ai.real + s * s_ai.imag) / (_SQRT_PI * root4)
+    aip = root4 * (s * s_aip.real - c * s_aip.imag) / _SQRT_PI
     return ai, aip
 
 
@@ -200,42 +185,13 @@ def airy_ai(x):
     return airy_pair(x)[0]
 
 
-@lru_cache(maxsize=None)
-def _airy_derivative_coeffs(r):
-    """Polynomial pair (A, B) with Ai^(r) = A(x) Ai + B(x) Ai'.
-
-    From Ai'' = x Ai: A_{r+1} = A_r' + x B_r and B_{r+1} = A_r + B_r'.
-    Coefficients ascending; exact integers.
-    """
-    if r == 0:
-        return (1,), ()
-    a, b = _airy_derivative_coeffs(r - 1)
-    da = tuple(k * a[k] for k in range(1, len(a)))
-    db = tuple(k * b[k] for k in range(1, len(b)))
-    xb = (0,) + b
-    new_a = tuple(
-        (da[k] if k < len(da) else 0) + (xb[k] if k < len(xb) else 0)
-        for k in range(max(len(da), len(xb), 1))
-    )
-    new_b = tuple(
-        (a[k] if k < len(a) else 0) + (db[k] if k < len(db) else 0)
-        for k in range(max(len(a), len(db), 1))
-    )
-    return new_a, new_b
-
-
-def _polyval(coeffs, x):
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
 def airy_derivative(x, r):
-    """r-th derivative of Ai, via the integer polynomial recurrence."""
-    a, b = _airy_derivative_coeffs(r)
-    ai, aip = airy_pair(x)
-    return _polyval(a, x) * ai + _polyval(b, x) * aip
+    """r-th derivative of Ai, by Ai^(k+2) = x Ai^(k) + k Ai^(k-1)."""
+    x = np.asarray(x, dtype=float)
+    ders = list(airy_pair(x))
+    for k in range(r - 1):
+        ders.append(x * ders[k] + k * ders[k - 1])
+    return ders[r]
 
 
 def psi2_sequence(n, tau):

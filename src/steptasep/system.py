@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_CHUNK_SIZE = 64
-
 # Largest transient float64 uniform block, in bytes: a chunk of samples is
 # sized to stay near it, and a single sample that exceeds it is refused.
 UNIFORM_BLOCK_BYTES = 2e8
@@ -92,6 +90,13 @@ def _evolve(stay):
         yield pos
 
 
+def adaptive_chunk(horizon, m):
+    """Sample block size keeping the transient uniform block near
+    UNIFORM_BLOCK_BYTES."""
+    cells = max(1, horizon * m * 8)
+    return max(1, min(64, int(UNIFORM_BLOCK_BYTES / cells)))
+
+
 def _sample_uniforms(m, horizon, master_seed, index):
     """The uniform block of sample `index`: an independent counter-based
     substream keyed by (master_seed, index), so results do not depend on
@@ -127,12 +132,13 @@ def _check_times(spec, times):
             raise ValueError(f"time {t} exceeds horizon {spec.horizon}")
 
 
-def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=DEFAULT_CHUNK_SIZE):
+def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=None):
     """n_samples independent trajectories, reported at the requested times.
 
     Returns an (n_samples, len(times)) integer array. Sample k is driven by
     the substream keyed (master_seed, k); reruns and different chunk sizes
-    give bit-identical output.
+    give bit-identical output. The default chunk size is adaptive_chunk of
+    the last time.
     """
     times = [int(t) for t in times]
     _check_times(spec, times)
@@ -140,6 +146,8 @@ def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=DEFAULT_CHUN
         raise ValueError("need at least one sample")
     horizon = max(times, default=0)
     rates = spec.rate_array()
+    if chunk_size is None:
+        chunk_size = adaptive_chunk(horizon, spec.m)
 
     by_time = {}
     for col, t in enumerate(times):

@@ -138,6 +138,16 @@ class TestBorderIntegrals:
             b = kk.airy_laplace_complement(tau1, xis)
             assert np.max(np.abs(i1 - b)) < 1e-10
 
+    def test_rank_one_term_keeps_relative_accuracy(self):
+        # the contour integrand carries e^{-xi c} at vertex height c, so a
+        # high vertex magnifies rounding where xi is negative and the
+        # complement is tiny (1e-12 at tau1 = -3)
+        xis = np.linspace(-8.0, 12.0, 81)
+        for tau1 in (-3.0, -2.0, -1.6, -1.0, -0.4, 0.0, 0.3, 1.0):
+            i1 = kk._perturbation_i_all(tau1, xis, [0.0])[0]
+            b = kk.airy_laplace_complement(tau1, xis)
+            np.testing.assert_allclose(i1, b, rtol=1e-8, atol=0)
+
     def test_contour_shift_invariance(self):
         v1 = kk._perturbation_i_all(0.2, GRID1, [0.0, 1.1], shift=1.0)
         v2 = kk._perturbation_i_all(0.2, GRID1, [0.0, 1.1], shift=1.7)
@@ -231,6 +241,15 @@ class TestRankNGaussian:
             mine = float(kk.kernel_Kn_block(t1, [x1], t2, [x2], eps)[0, 0])
             ref = _kn_brute(t1, x1, t2, x2, eps)
             assert abs(mine - ref) < 1e-12
+
+    def test_series_product_is_truncated_convolution(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        b = rng.normal(size=4)
+        got = kk._series_product(a, b, 4)
+        for row, a_row in zip(got, a):
+            assert np.allclose(row, np.convolve(a_row, b)[:4],
+                               rtol=1e-15, atol=1e-15)
 
     def test_confluent_limit_of_distinct_poles(self):
         # distinct poles at separation d cost ~1/d^2 in float cancellation

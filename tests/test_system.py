@@ -157,6 +157,25 @@ class TestEnsemble:
             a, sy.sample_ensemble(spec, times, 23, master_seed=43)
         )
 
+    def test_default_chunk_respects_uniform_budget(self, monkeypatch):
+        # a budget that holds two samples' uniform blocks must cap every
+        # batch at two, however many samples are asked for
+        spec = spec_uniform(5, 0.3, 30)
+        monkeypatch.setattr(sy, "UNIFORM_BLOCK_BYTES", 2 * 30 * 5 * 8)
+        batches = []
+        evolve = sy._evolve
+
+        def spy(stay):
+            batches.append(stay.shape[0])
+            return evolve(stay)
+
+        monkeypatch.setattr(sy, "_evolve", spy)
+        got = sy.sample_ensemble(spec, [7, 30], 5, master_seed=42)
+        assert batches == [2, 2, 1]
+        monkeypatch.setattr(sy, "_evolve", evolve)
+        assert np.array_equal(
+            got, sy.sample_ensemble(spec, [7, 30], 5, 42, chunk_size=5))
+
     def test_times_validated(self):
         spec = spec_uniform(3, 0.2, 10)
         with pytest.raises(ValueError):
