@@ -11,7 +11,10 @@ evaluation refuses to return a number.
 
 The reference laws used by the statistics harness, one LAWS entry each,
 are tabulated once on law-specific grids whose ends carry less than 1e-6 of
-residual mass, then interpolated linearly.
+residual mass, then interpolated linearly.  Their blocks, and every
+diagonal block of a multi-time determinant, are equal-time Airy blocks in
+Christoffel-Darboux form; only blocks between unequal times integrate
+over the kernels' lambda rule.
 """
 
 import math

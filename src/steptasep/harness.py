@@ -27,6 +27,7 @@ from .finite_kernel import joint_probability
 from .fredholm import GAUSSIAN, LAWS, ks_distance, reference_law
 from .limit_kernels.kernels import (
     airy_kernel_cd,
+    airy_kernel_quadrature,
     extended_airy_block,
     kernel_K3_block,
     kernel_K3prime_block,
@@ -372,10 +373,10 @@ def _suite_kernels():
                           ("critical_to_plain_airy", k3p_far, k2),
                           ("rank_n_to_gaussian", kn, kg)):
             worst[key] = max(worst[key], float(np.max(np.abs(a - b))))
-    eq = extended_airy_block(0.0, x1, 0.0, x1)
-    cd = np.array([[airy_kernel_cd(a, b) for b in x1] for a in x1])
+    cd = airy_kernel_cd(x1, x1)
+    quad = airy_kernel_quadrature(0.0, x1, 0.0, x1)
     worst["equal_time_to_christoffel_darboux"] = float(
-        np.max(np.abs(eq - cd)))
+        np.max(np.abs(cd - quad)))
     return all(v < 1e-8 for v in worst.values()), worst
 
 

@@ -4,8 +4,10 @@ All continuous kernels expose a block form K(tau1, xis1, tau2, xis2)
 returning the matrix K[a, b] over node arrays, which is what the Nystrom
 determinant engine consumes; a single entry is a one-point block.
 
-Forward-in-time entries of the extended Airy kernel are computed from the
-re-summed representation
+Equal-time blocks of the extended Airy kernel take the Christoffel-Darboux
+form, one Airy evaluation per node (Tracy-Widom, CMP 159, 1994); unequal
+times integrate over a lambda rule.  Forward-in-time entries are computed
+from the re-summed representation
 
     K2(tau1<tau2) = int_0^inf e^{(tau2-tau1) lam} Ai(xi1+lam) Ai(xi2+lam) dlam
                     - airy_heat_integral(xi1, xi2, tau2-tau1),
@@ -27,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..combinatorics import elementary_symmetric
-from .special import (
+from .special import (  # noqa: F401  (perfbench wraps airy_derivative here)
     airy_ai,
     airy_derivative,
     airy_pair,
@@ -37,7 +39,9 @@ from .special import (
 
 _SQRT_PI = math.sqrt(math.pi)
 # Gauss-Legendre order per panel of the half-line and contour rules
+# (_ORDER) and of the border sweep's panels, at most 1 long (_GAP_ORDER)
 _ORDER = 64
+_GAP_ORDER = 16
 
 
 @lru_cache(maxsize=None)
@@ -53,13 +57,9 @@ def _panel_nodes(a, b, order):
 
 def _paneled_rule(top, order):
     """Gauss-Legendre nodes/weights on [0, top] in panels of length 6."""
-    edges = np.arange(0.0, top + 6.0, 6.0)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x_p, w_p = _panel_nodes(a, min(b, top), order)
-        xs.append(x_p)
-        ws.append(w_p)
-    return np.concatenate(xs), np.concatenate(ws)
+    edges = np.append(np.arange(0.0, top, 6.0), top)[:, None]
+    x, w = _panel_nodes(edges[:-1], edges[1:], order)
+    return x.ravel(), w.ravel()
 
 
 def _half_line_rule(growth, xi_floor, order):
@@ -84,8 +84,15 @@ def airy_heat_integral(xi1, xi2, dpos):
         return np.exp(expo) / math.sqrt(4.0 * math.pi * dpos)
 
 
-def extended_airy_block(tau1, xis1, tau2, xis2, order=_ORDER):
+def extended_airy_block(tau1, xis1, tau2, xis2):
     """Extended Airy kernel on node arrays; rows xis1, columns xis2."""
+    if tau1 == tau2:
+        return airy_kernel_cd(xis1, xis2)
+    return airy_kernel_quadrature(tau1, xis1, tau2, xis2)
+
+
+def airy_kernel_quadrature(tau1, xis1, tau2, xis2, order=_ORDER):
+    """Extended Airy kernel from the lambda rule, at any pair of times."""
     xis1 = np.atleast_1d(np.asarray(xis1, dtype=float))
     xis2 = np.atleast_1d(np.asarray(xis2, dtype=float))
     delta = tau1 - tau2
@@ -93,7 +100,7 @@ def extended_airy_block(tau1, xis1, tau2, xis2, order=_ORDER):
     floor = min(xis1.min(), xis2.min())
     lam, w = _half_line_rule(growth, floor, order)
     a1 = airy_ai(xis1[:, None] + lam[None, :])
-    # one-time blocks of det(I - K) pair a node set with itself
+    # two times at one threshold pair a node set with itself
     a2 = a1 if np.array_equal(xis1, xis2) else airy_ai(
         xis2[:, None] + lam[None, :])
     with np.errstate(over="ignore"):
@@ -104,14 +111,15 @@ def extended_airy_block(tau1, xis1, tau2, xis2, order=_ORDER):
     return block
 
 
-def airy_kernel_cd(xi1, xi2):
-    """Equal-time Airy kernel via the Christoffel-Darboux form."""
-    if xi1 == xi2:
-        ai, aip = airy_pair(xi1)
-        return aip * aip - xi1 * ai * ai
-    a1, p1 = airy_pair(xi1)
-    a2, p2 = airy_pair(xi2)
-    return (a1 * p2 - p1 * a2) / (xi1 - xi2)
+def airy_kernel_cd(xis1, xis2):
+    """Equal-time Airy kernel on node arrays, Christoffel-Darboux form:
+    (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y), and Ai'(x)^2 - x Ai(x)^2 at x = y."""
+    a1, p1 = airy_pair(xis1)
+    a2, p2 = (a1, p1) if np.array_equal(xis1, xis2) else airy_pair(xis2)
+    diff = np.subtract.outer(xis1, xis2)
+    same = diff == 0.0
+    off = (np.outer(a1, p2) - np.outer(p1, a2)) / np.where(same, 1.0, diff)
+    return np.where(same, np.outer(p1, p2) - np.outer(xis1 * a1, a2), off)
 
 
 def airy_laplace_complement(tau, xi):
@@ -120,16 +128,27 @@ def airy_laplace_complement(tau, xi):
     Equals int_{-inf}^0 e^{-tau*lam} Ai(xi+lam) dlam for every tau.  For
     tau <= -1.5 the difference form cancels badly, so the tail integral is
     taken directly: int_0^inf e^{tau*mu} Ai(xi-mu) dmu, whose exponential
-    damps the Airy oscillation.
+    damps the Airy oscillation.  Otherwise the half-line integral G is
+    taken at the top point and swept down the sorted points in panels at
+    most 1 long: G(a) = int_a^b e^{-tau(x-a)} Ai(x) dx + e^{-tau(b-a)} G(b).
     """
     xi = np.asarray(xi, dtype=float)
     scalar = xi.ndim == 0
     xi = np.atleast_1d(xi)
     if tau > -1.5:
-        lam, w = _half_line_rule(max(0.0, -tau), float(xi.min()), _ORDER)
-        vals = airy_ai(xi[:, None] + lam[None, :])
-        integral = (vals * (w * np.exp(-tau * lam))) @ np.ones_like(lam)
-        out = np.exp(tau * xi - tau ** 3 / 3.0) - integral
+        u = np.unique(xi)
+        edges = np.unique(np.concatenate([u] + [
+            np.linspace(a, b, int(np.ceil(b - a)) + 1)
+            for a, b in zip(u[:-1], u[1:]) if b - a > 1.0]))
+        lam, w = _half_line_rule(max(0.0, -tau), edges[-1], _ORDER)
+        g = [airy_ai(edges[-1] + lam) @ (w * np.exp(-tau * lam))]
+        a = edges[:-1, None]
+        x, wx = _panel_nodes(a, edges[1:, None], _GAP_ORDER)
+        pieces = np.sum(airy_ai(x) * np.exp(-tau * (x - a)) * wx, axis=1)
+        for piece, gap in zip(pieces[::-1], np.diff(edges)[::-1]):
+            g.append(piece + math.exp(-tau * gap) * g[-1])
+        g = np.array(g[::-1])
+        out = np.exp(tau * xi - tau ** 3 / 3.0) - g[np.searchsorted(edges, xi)]
     else:
         # short panels resolve the Airy oscillation under the e^{tau*mu} damp
         mu, w = _paneled_rule(45.0 / (-tau), _ORDER)
@@ -181,11 +200,13 @@ def _perturbation_j_all(tau2, xis, etas):
     """J_j(tau2, xi) for j = 1..n, from Airy derivatives.
 
     The polynomial prod_{k<j}(eta_k - tau2 + i w) expands in powers of
-    (i w), and each (i w)^r integrates to the r-th Airy derivative.
+    (i w), and each (i w)^r integrates to Ai^(r), by the Airy recurrence.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     n = len(etas)
-    ders = np.stack([airy_derivative(xis, r) for r in range(max(n, 1))])
+    ders = list(airy_pair(xis))
+    for k in range(n - 2):
+        ders.append(xis * ders[k] + k * ders[k - 1])
     out = np.empty((n, len(xis)))
     for j in range(1, n + 1):
         e = elementary_symmetric([etas[k] - tau2 for k in range(j - 1)])

@@ -28,8 +28,11 @@ from scipy.stats import multivariate_normal
 from oracles import ou_joint_cdf_quadrature
 from steptasep.finite_kernel import joint_probability
 from steptasep.fredholm import (
+    LCUT,
+    ORDER,
     RefinementError,
     _det_once,
+    _window,
     det_continuous,
     det_discrete,
     gaussian_r4_cdf,
@@ -39,6 +42,7 @@ from steptasep.fredholm import (
     region1_prob,
     tw_gue_cdf,
 )
+from steptasep.limit_kernels import kernels as kk
 from steptasep.limit_kernels.kernels import (
     gaussian_transition,
     kernel_KG_block,
@@ -240,6 +244,26 @@ class TestGaussianTwoTime:
         assert sym < 1e-14
         far = ou_joint_cdf_quadrature(0.5, -0.3, 0.0, 30.0)
         assert abs(far - gaussian_r4_cdf(0.5) * gaussian_r4_cdf(-0.3)) < 1e-9
+
+
+class TestAiryEvaluationCount:
+    """Equal-time laws cost a bounded number of Airy points per Nystrom
+    node: one per node for the Christoffel-Darboux block, a short gap
+    rule per node for the border sweep, and one half-line rule at the top
+    node.  Re-integrating every node over a lambda rule costs ~350."""
+
+    @pytest.mark.parametrize("cdf", [tw_gue_cdf, goe2_cdf])
+    def test_points_linear_in_nodes(self, cdf, monkeypatch):
+        points = []
+        for name in ("airy_pair", "airy_ai"):
+            def spy(x, _orig=getattr(kk, name)):
+                points.append(np.size(x))
+                return _orig(x)
+            monkeypatch.setattr(kk, name, spy)
+        cdf(-3.0)
+        nodes = (_window(-3.0, LCUT, ORDER)[1]
+                 + _window(-3.0, 2.0 * LCUT, 2 * ORDER)[1])
+        assert sum(points) < 40 * nodes
 
 
 class TestReferenceLawTables:

@@ -19,9 +19,11 @@ from scipy import integrate
 from scipy import special as sps
 
 from oracles import _perturbation_i_line
+from steptasep.combinatorics import elementary_symmetric
 from steptasep.finite_kernel import joint_probability
-from steptasep.fredholm import region1_prob
+from steptasep.fredholm import LCUT, ORDER, _window, region1_prob
 from steptasep.limit_kernels import kernels as kk
+from steptasep.limit_kernels import special
 from steptasep.limit_kernels.scaling import ScaledExperiment
 from steptasep.limit_kernels.special import psi1, psi2_sequence
 
@@ -33,10 +35,18 @@ GRID2 = np.array([-2.5, -0.5, 0.0, 1.2, 3.0])
 
 class TestExtendedAiry:
     def test_equal_time_matches_christoffel_darboux(self):
+        # equal-time blocks are the Christoffel-Darboux form; the lambda
+        # quadrature at equal times is the independent route
         block = kk.extended_airy_block(0.7, GRID1, 0.7, GRID2)
-        for a, x1 in enumerate(GRID1):
-            for b, x2 in enumerate(GRID2):
-                assert abs(block[a, b] - kk.airy_kernel_cd(x1, x2)) < 1e-12
+        quad = kk.airy_kernel_quadrature(0.7, GRID1, 0.7, GRID2)
+        assert 0.0 < np.max(np.abs(block - quad)) < 1e-12
+
+    def test_christoffel_darboux_diagonal_is_the_limit(self):
+        # coinciding nodes take Ai'^2 - x Ai^2, the x -> y limit
+        xs = np.array([-2.0, 0.5, 3.0])
+        diag = np.diag(kk.airy_kernel_cd(xs, xs))
+        near = np.diag(kk.airy_kernel_cd(xs, xs + 1e-6))
+        np.testing.assert_allclose(diag, near, rtol=1e-5, atol=0)
 
     def test_forward_matches_direct_oscillatory_route(self):
         for (t1, t2), (x1, x2) in itertools.product(
@@ -75,8 +85,8 @@ class TestExtendedAiry:
 
     def test_node_doubling_stability(self):
         for dp in (1.2, 3.0):
-            b1 = kk.extended_airy_block(0.0, GRID1, dp, GRID2, order=64)
-            b2 = kk.extended_airy_block(0.0, GRID1, dp, GRID2, order=96)
+            b1 = kk.airy_kernel_quadrature(0.0, GRID1, dp, GRID2, order=64)
+            b2 = kk.airy_kernel_quadrature(0.0, GRID1, dp, GRID2, order=96)
             assert np.max(np.abs(b1 - b2)) < 1e-11
 
 
@@ -119,13 +129,46 @@ class TestLaplaceComplement:
             assert abs(kk.airy_laplace_complement(0.0, xi) - ref) < 1e-11
 
     def test_vectorized_over_positions(self):
-        # scalar calls see a different node floor, so match closely
-        # rather than bit-for-bit
-        xis = np.array([-2.0, 0.0, 1.5])
+        # the vector route sweeps down the sorted distinct points, so it
+        # matches scalar calls closely rather than bit-for-bit
+        xis = np.array([1.5, -2.0, 0.0, -2.0, 4.0])
         vec = kk.airy_laplace_complement(0.4, xis)
+        assert vec[1] == vec[3]
         for i, xi in enumerate(xis):
             assert abs(vec[i] - kk.airy_laplace_complement(0.4, float(xi))) \
                 < 1e-13
+
+
+class TestBorderSweep:
+    """The vector route of airy_laplace_complement sweeps down the sorted
+    points; a scalar call is the half-line rule at that one point."""
+
+    @pytest.mark.parametrize("s", [-6.0, -1.0, 4.0])
+    def test_nystrom_nodes_match_per_point_route(self, s):
+        # below tau = 0 both routes subtract terms of size e^{tau*xi}
+        # (1e4 at xi = -6, tau = -1.4), so a few ulps of that term are
+        # allowed on top of the relative bound
+        for lcut, order in ((LCUT, ORDER), (2.0 * LCUT, 2 * ORDER)):
+            length, n = _window(s, lcut, order)
+            t, _ = np.polynomial.legendre.leggauss(n)
+            xs = s + length / 2.0 * (1.0 + t)
+            for tau in (-1.4, -0.4, 0.0, 0.3, 1.2):
+                vec = kk.airy_laplace_complement(tau, xs)
+                ref = np.array([kk.airy_laplace_complement(tau, float(x))
+                                for x in xs])
+                scale = np.exp(tau * xs - tau ** 3 / 3.0)
+                assert np.all(np.abs(vec - ref)
+                              <= 1e-11 * np.abs(ref) + 1e-15 * scale)
+
+    def test_wide_gap_matches_high_precision(self):
+        # a 25-unit gap at tau = -1 grows e^{x - xi} by e^25 across it; one
+        # 10-point rule over the whole gap is off by 0.12 at xi = -3
+        xs = np.array([-3.0, 22.0])
+        vec = kk.airy_laplace_complement(-1.0, xs)
+        for x, v in zip(xs, vec):
+            ref = float(mp.quad(lambda mu: mp.exp(-mu) * mp.airyai(x - mu),
+                                [0, 5, 10, 20, 30, 40, 80]))
+            assert abs(v - ref) < 1e-10 * abs(ref)
 
 
 class TestBorderIntegrals:
@@ -147,6 +190,26 @@ class TestBorderIntegrals:
             i1 = kk._perturbation_i_all(tau1, xis, [0.0])[0]
             b = kk.airy_laplace_complement(tau1, xis)
             np.testing.assert_allclose(i1, b, rtol=1e-8, atol=0)
+
+    def test_derivative_orders_from_one_airy_evaluation(self, monkeypatch):
+        calls = []
+
+        def spy(x):
+            calls.append(np.size(x))
+            return special.airy_pair(x)
+
+        monkeypatch.setattr(kk, "airy_pair", spy)
+        xis = np.linspace(-5.0, 5.0, 50)
+        etas = [0.3, 0.7, 1.1, 2.0]
+        j_all = kk._perturbation_j_all(0.4, xis, etas)
+        assert calls == [50]
+        for j in range(1, len(etas) + 1):
+            e = elementary_symmetric([eta - 0.4 for eta in etas[:j - 1]])
+            want = sum(e[j - 1 - r] * special.airy_derivative(xis, r)
+                       for r in range(j))
+            scale = max(np.max(np.abs(special.airy_derivative(xis, r)))
+                        for r in range(j))
+            assert np.max(np.abs(j_all[j - 1] - want)) <= 1e-15 * scale
 
     def test_contour_shift_invariance(self):
         v1 = kk._perturbation_i_all(0.2, GRID1, [0.0, 1.1], shift=1.0)
