@@ -10,18 +10,32 @@ rates are rational. The residues need the series prod_i 1/(1 - c_i s) for
 c = p and c = q; its coefficients are the complete homogeneous polynomials,
 extended one degree at a time from the elementary symmetric ones.
 
-The independent route, direct double-contour quadrature of the kernel, lives
-with the tests (tests/oracles.py), which compare the two pointwise.
+The independent routes, the kernel series summed term by term and direct
+double-contour quadrature of the kernel, live with the tests
+(tests/oracles.py), which compare them with this module pointwise.
+
+The kernel is the finite series K(t1, x1; t2, x2) = sum_w Psi1(w + d, t1)
+Psi2(w, t2) along the diagonal d = x1 - x2, with Psi2 supported on
+-M <= w <= t2 - M + 1. For t1 >= t2 the sum runs over w >= x2, so shifting
+both positions by one drops one term:
+    K(x1, x2) = Psi1(x1) Psi2(x2) + K(x1 + 1, x2 + 1),
+and the sum is empty (K = 0) for x2 > t2 - M + 1. For t1 < t2 it is minus
+the prefix over w from -M to min(x2 - 1, t2 - M + 1), empty for x2 <= -M.
+A kernel block is therefore one running sum per diagonal, each Psi1*Psi2
+product formed once.
 
 Windows: the event L(t, M) >= l corresponds to "no points in (theta, infty)"
 with theta = t - M + 1 - l. Kernel columns vanish identically at positions
-beyond the Laurent support x = t - M + 1, so the determinant truncates to the
-finite window (theta, t - M + 1] with no error.
+beyond the Laurent support x = t - M + 1 (for t1 < t2 on rows inside their
+own support, which is where windows live), so the determinant truncates to
+the finite window (theta, t - M + 1] with no error.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from .combinatorics import (
@@ -50,6 +64,8 @@ class FiniteKernel:
 
     def __init__(self, rates):
         self.qs = tuple(as_fraction(q) for q in rates)
+        if not self.qs:
+            raise ValueError("no particles: the rate vector is empty")
         if any(not (0 <= q < 1) for q in self.qs):
             raise ValueError("stay rates must lie in [0, 1)")
         self.m = len(self.qs)
@@ -108,39 +124,66 @@ class FiniteKernel:
             self._psi1_cache[key] = total
         return self._psi1_cache[key]
 
-    def entry(self, t1, x1, t2, x2):
-        """Kernel entry via the finite Psi1*Psi2 series; exact."""
+    def block(self, t1, xs1, t2, xs2):
+        """Kernel entries K(t1, x1; t2, x2) for x1 in xs1 (rows) and x2 in
+        xs2 (columns), by one running sum per diagonal; exact."""
         horizon2 = self._bound(t2)
-        total = Fraction(0)
-        if t1 >= t2:
-            for mm in range(max(0, -self.m - x2), horizon2 - x2 + 1):
-                total += self.psi1(x1 + mm, t1) * self.psi2(x2 + mm, t2)
-        else:
-            for mm in range(max(0, x2 - 1 - horizon2), x2 + self.m):
-                total -= self.psi1(x1 - mm - 1, t1) * self.psi2(x2 - mm - 1, t2)
-        return total
+        forward = t1 >= t2
+        out = [[None] * len(xs2) for _ in xs1]
+        diagonals = {}
+        for i, x1 in enumerate(xs1):
+            for j, x2 in enumerate(xs2):
+                diagonals.setdefault(x1 - x2, []).append((x2, i, j))
+        for d, cells in diagonals.items():
+            # walk the diagonal in the direction its running sum grows
+            cells.sort(reverse=forward)
+            total = Fraction(0)
+            w = horizon2 if forward else -self.m
+            for x2, i, j in cells:
+                if forward:
+                    while w >= max(x2, -self.m):
+                        total += self.psi1(w + d, t1) * self.psi2(w, t2)
+                        w -= 1
+                else:
+                    while w <= min(x2 - 1, horizon2):
+                        total -= self.psi1(w + d, t1) * self.psi2(w, t2)
+                        w += 1
+                out[i][j] = total
+        return out
+
+    def entry(self, t1, x1, t2, x2):
+        """One kernel entry: the 1x1 block."""
+        return self.block(t1, [x1], t2, [x2])[0][0]
 
 
 # ---------------------------------------------------------------------------
 # Windowed Fredholm determinant
 # ---------------------------------------------------------------------------
 
-def _windows(times, levels, m):
+def _integer(value, name):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+
+
+def _windows(times, levels, kern):
+    if len(times) != len(levels):
+        raise ValueError(f"{len(times)} times but {len(levels)} levels")
     merged = {}
     for t, level in zip(times, levels):
-        if t < m - 1:
-            raise ValueError(f"time {t} is below {m - 1}; no particle data")
-        merged[int(t)] = max(merged.get(int(t), 0), int(level))
+        t, level = _integer(t, "time"), _integer(level, "level")
+        merged[t] = max(merged.get(t, 0), level)
     blocks = []
+    # ascending, so the earliest time meets the bound check first
     for t in sorted(merged):
+        horizon = kern._bound(t)
         level = merged[t]
-        horizon = t - m + 1
         if level <= 0:
             continue
         if level > horizon:
             return None, True
-        theta = horizon - level
-        blocks.append((t, list(range(theta + 1, horizon + 1))))
+        blocks.append((t, range(horizon - level + 1, horizon + 1)))
     return blocks, False
 
 
@@ -150,19 +193,27 @@ def joint_probability(times, levels, rates, exact=False):
     Thresholds l <= 0 are vacuous; l > t-M+1 is impossible (the tagged
     particle first moves at the step to time M and at most once per step,
     so L(t) <= t-M+1) and short-circuits to 0. Times from M-1 on are
-    accepted. With exact=True and rational rates the value is a Fraction
-    with no rounding at all. The float route is accurate to about 1e-12
-    absolute and is clipped into [0, 1]; deep tails need exact=True.
+    accepted; times and levels must be integers, one level per time, and
+    there must be at least one particle. With exact=True and rational rates
+    the value is a Fraction with no rounding at all. The float route is
+    accurate to about 1e-12 absolute and is clipped into [0, 1]; deep tails
+    need exact=True.
     """
     kern = FiniteKernel(rates)
-    blocks, impossible = _windows(times, levels, kern.m)
+    blocks, impossible = _windows(times, levels, kern)
     if impossible:
         return Fraction(0) if exact else 0.0
+    kmat = []
+    for t1, xs1 in blocks:
+        parts = [kern.block(t1, xs1, t2, xs2) for t2, xs2 in blocks]
+        kmat += [list(chain(*row)) for row in zip(*parts)]
     if exact:
-        points = [(t, x) for t, window in blocks for x in window]
         return fraction_determinant(
-            [[int(p == r) - kern.entry(*p, *r) for r in points] for p in points])
-    ts = [t for t, _ in blocks]
-    p = det_discrete(lambda i, x, j, y: float(kern.entry(ts[i], x, ts[j], y)),
-                     [window for _, window in blocks])
+            [[int(a == b) - k for b, k in enumerate(row)]
+             for a, row in enumerate(kmat)])
+    windows = [xs for _, xs in blocks]
+    index = {p: a for a, p in enumerate(
+        (i, x) for i, xs in enumerate(windows) for x in xs)}
+    p = det_discrete(
+        lambda i, x, j, y: float(kmat[index[i, x]][index[j, y]]), windows)
     return min(max(p, 0.0), 1.0)

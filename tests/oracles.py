@@ -6,7 +6,9 @@
   01 matrices, and the geometric-entry variant of the last-passage identity.
 - Dynamics: the tagged distance driven by a given uniform block, through the
   package's one update rule.
-- Finite kernel: the free transition weight phi and direct double-contour
+- Finite kernel: the free transition weight phi, the kernel entry as the
+  direct Psi1*Psi2 series summed term by term (the reference for the
+  package's running sums along diagonals), and direct double-contour
   quadrature of the kernel on circles centered at -1/2. That center keeps
   the admissible radius window open for every stay rate in [0, 1),
   including rates >= 1/2 where circles centered at the origin would have to
@@ -199,6 +201,21 @@ def phi(t1, t2, x1, x2):
     if t1 >= t2:
         return 0
     return comb(t2 - t1, x2 - x1) if 0 <= x2 - x1 <= t2 - t1 else 0
+
+
+def kernel_series(t1, x1, t2, x2, rates):
+    """Kernel entry via the finite Psi1*Psi2 series, one term at a time;
+    exact."""
+    kern = rates if isinstance(rates, FiniteKernel) else FiniteKernel(rates)
+    horizon2 = kern._bound(t2)
+    total = Fraction(0)
+    if t1 >= t2:
+        for mm in range(max(0, -kern.m - x2), horizon2 - x2 + 1):
+            total += kern.psi1(x1 + mm, t1) * kern.psi2(x2 + mm, t2)
+    else:
+        for mm in range(max(0, x2 - 1 - horizon2), x2 + kern.m):
+            total -= kern.psi1(x1 - mm - 1, t1) * kern.psi2(x2 - mm - 1, t2)
+    return total
 
 
 def _contour_radii(ps):

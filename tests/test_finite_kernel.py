@@ -6,13 +6,15 @@ path law as exact rational numbers, and the two independent kernel routes
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from oracles import kernel_K, kernel_quadrature, phi, psi1_quadrature
+from oracles import (kernel_K, kernel_quadrature, kernel_series, phi,
+                     psi1_quadrature)
 from steptasep import combinatorics as cb
 from steptasep import finite_kernel as fk
 
@@ -162,6 +164,50 @@ class TestKernelRoutes:
                         assert kern.entry(t1, x1, t2, x2) == 0, (t1, x1, t2, x2)
 
 
+class TestKernelBlock:
+    def test_block_equals_direct_series(self):
+        # random rational rates with a zero stay rate, both time orders,
+        # shuffled positions from below -M to past the support t2-M+1
+        rng = random.Random(9)
+        for m in range(1, 7):
+            for _ in range(2):
+                rates = [Fraction(rng.randrange(den), den)
+                         for den in rng.choices(range(2, 13), k=m)]
+                rates[rng.randrange(m)] = Fraction(0)
+                kern = fk.FiniteKernel(rates)
+                times = (m - 1, m + 1, m + 4)
+                for t1, t2 in itertools.product(times, repeat=2):
+                    xs1 = list(range(-m - 2, t1 - m + 4))
+                    xs2 = list(range(-m - 2, t2 - m + 4))
+                    rng.shuffle(xs1)
+                    rng.shuffle(xs2)
+                    got = kern.block(t1, xs1, t2, xs2)
+                    want = [[kernel_series(t1, x1, t2, x2, kern)
+                             for x2 in xs2] for x1 in xs1]
+                    assert got == want, (rates, t1, t2)
+                    # columns past the support t2-M+1 vanish: the sum is
+                    # empty for t1 >= t2, and for t1 < t2 the full sum
+                    # cancels on rows inside the row support
+                    for (i, x1), (j, x2) in itertools.product(
+                            enumerate(xs1), enumerate(xs2)):
+                        if x2 > t2 - m + 1 and (t1 >= t2 or x1 <= t1 - m + 1):
+                            assert got[i][j] == 0, (rates, t1, x1, t2, x2)
+
+    def test_psi1_calls_quadratic_in_window(self, monkeypatch):
+        # the n = 45 window at M=50, t=100 needs 1.5 n^2 products; one
+        # series per entry made 46,575 psi1 calls
+        calls = []
+        psi1 = fk.FiniteKernel.psi1
+
+        def counted(self, x, t):
+            calls.append((x, t))
+            return psi1(self, x, t)
+
+        monkeypatch.setattr(fk.FiniteKernel, "psi1", counted)
+        fk.joint_probability([100], [45], (0.5,) * 50)
+        assert len(calls) <= 2 * 45 ** 2
+
+
 def oracle_joint(law, pairs):
     return cb.prob_path_at_least(law, pairs)
 
@@ -289,7 +335,7 @@ class TestDeterminantProperties:
     def test_conjugation_invariance(self):
         kern = fk.FiniteKernel(RATES2)
         times, levels = [2, 4], [1, 2]
-        blocks, _ = fk._windows(times, levels, 2)
+        blocks, _ = fk._windows(times, levels, kern)
         points = [(t, x) for t, window in blocks for x in window]
         base = np.eye(len(points))
         gauged = np.eye(len(points))
@@ -309,3 +355,20 @@ class TestDeterminantProperties:
     def test_rejects_time_before_tagged_label(self):
         with pytest.raises(ValueError):
             fk.joint_probability([0], [1], RATES2)
+
+    @pytest.mark.parametrize("times, levels, rates", [
+        ([10, 12], [3], (0.5,) * 5),  # one level for two times
+        ([10.7], [3], (0.5,) * 5),
+        ([10], [2.9], (0.5,) * 5),
+        ([10], [2], ()),  # no tagged particle
+    ])
+    def test_rejects_malformed_input(self, times, levels, rates):
+        with pytest.raises(ValueError):
+            fk.joint_probability(times, levels, rates)
+
+    def test_accepts_numpy_integers(self):
+        rates = (Fraction(1, 2),) * 5
+        want = fk.joint_probability([10, 12], [3, 4], rates, exact=True)
+        got = fk.joint_probability([np.int64(10), np.int32(12)],
+                                   np.array([3, 4]), rates, exact=True)
+        assert got == want
