@@ -28,23 +28,22 @@ Windows: the event L(t, M) >= l corresponds to "no points in (theta, infty)"
 with theta = t - M + 1 - l. Kernel columns vanish identically at positions
 beyond the Laurent support x = t - M + 1 (for t1 < t2 on rows inside their
 own support, which is where windows live), so the determinant truncates to
-the finite window (theta, t - M + 1] with no error.
+the finite window (theta, t - M + 1] with no error. joint_probability hands
+these windows and FiniteKernel.block to fredholm.det_discrete, the one place
+I - K is assembled: in Fractions with exact=True, in floats otherwise.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
-from itertools import chain
 from math import comb
 
 from .combinatorics import (
     as_fraction,
     complete_homogeneous,
     elementary_symmetric,
-    fraction_determinant,
 )
-from .fredholm import det_discrete
+from .fredholm import _integer, det_discrete
 
 
 def integer_binomial(a, k):
@@ -54,6 +53,14 @@ def integer_binomial(a, k):
     if a >= 0:
         return comb(a, k)
     return (-1) ** k * comb(-a + k - 1, k)
+
+
+def max_level(t, m):
+    """t - m + 1, the most steps the tagged particle can have taken by time
+    t; times below m - 1 carry no particle data and raise ValueError."""
+    if t < m - 1:
+        raise ValueError(f"time {t} below {m - 1}; no particle data")
+    return t - m + 1
 
 
 class FiniteKernel:
@@ -80,16 +87,11 @@ class FiniteKernel:
         self._hp = [1]
         self._hq = [1]
 
-    def _bound(self, t):
-        if t < self.m - 1:
-            raise ValueError(f"time {t} below {self.m - 1}; no particle data")
-        return t - self.m + 1
-
     def psi2(self, x, t):
         """Coefficient of w^(-x) in (1 + 1/w)^(t-M+1) prod_i(1 - p_i w)."""
         key = (x, t)
         if key not in self._psi2_cache:
-            horizon = self._bound(t)
+            horizon = max_level(t, self.m)
             total = Fraction(0)
             for b, eb in enumerate(self._ep):
                 c = x + b
@@ -103,7 +105,7 @@ class FiniteKernel:
         z^(t-M-x) (1+z)^(-(t-M+1)) prod_i 1/(1 - p_i z)."""
         key = (x, t)
         if key not in self._psi1_cache:
-            horizon = self._bound(t)
+            horizon = max_level(t, self.m)
             total = Fraction(0)
             if x >= horizon:
                 k = x - horizon
@@ -127,7 +129,7 @@ class FiniteKernel:
     def block(self, t1, xs1, t2, xs2):
         """Kernel entries K(t1, x1; t2, x2) for x1 in xs1 (rows) and x2 in
         xs2 (columns), by one running sum per diagonal; exact."""
-        horizon2 = self._bound(t2)
+        horizon2 = max_level(t2, self.m)
         forward = t1 >= t2
         out = [[None] * len(xs2) for _ in xs1]
         diagonals = {}
@@ -160,13 +162,6 @@ class FiniteKernel:
 # Windowed Fredholm determinant
 # ---------------------------------------------------------------------------
 
-def _integer(value, name):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} {value!r} is not an integer") from None
-
-
 def _windows(times, levels, kern):
     if len(times) != len(levels):
         raise ValueError(f"{len(times)} times but {len(levels)} levels")
@@ -177,7 +172,7 @@ def _windows(times, levels, kern):
     blocks = []
     # ascending, so the earliest time meets the bound check first
     for t in sorted(merged):
-        horizon = kern._bound(t)
+        horizon = max_level(t, kern.m)
         level = merged[t]
         if level <= 0:
             continue
@@ -203,17 +198,5 @@ def joint_probability(times, levels, rates, exact=False):
     blocks, impossible = _windows(times, levels, kern)
     if impossible:
         return Fraction(0) if exact else 0.0
-    kmat = []
-    for t1, xs1 in blocks:
-        parts = [kern.block(t1, xs1, t2, xs2) for t2, xs2 in blocks]
-        kmat += [list(chain(*row)) for row in zip(*parts)]
-    if exact:
-        return fraction_determinant(
-            [[int(a == b) - k for b, k in enumerate(row)]
-             for a, row in enumerate(kmat)])
-    windows = [xs for _, xs in blocks]
-    index = {p: a for a, p in enumerate(
-        (i, x) for i, xs in enumerate(windows) for x in xs)}
-    p = det_discrete(
-        lambda i, x, j, y: float(kmat[index[i, x]][index[j, y]]), windows)
-    return min(max(p, 0.0), 1.0)
+    p = det_discrete(kern.block, blocks, exact)
+    return p if exact else min(max(p, 0.0), 1.0)

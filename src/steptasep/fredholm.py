@@ -1,11 +1,13 @@
 """Fredholm determinant engine and reference distribution laws.
 
-Discrete determinants are evaluated literally on finite index windows; the
-onset law region1_prob is one, of the discrete Hermite kernel.  Continuous
-determinants det(I - K) over products of half-lines (s_j, inf) use Nystrom
-discretization: Gauss-Legendre nodes on the truncated windows
-(s_j, s_j + LCUT], the symmetrized matrix sqrt(w) K sqrt(w), and a plain
-LU determinant.  Every evaluation is performed twice, the second time with
+One block assembler, det_discrete, builds every matrix I - K and takes its
+determinant: K is given block by block between windows of points, in floats
+(LU) or, for the exact finite-size law, in Fractions.  The onset law
+region1_prob is one such determinant, of the discrete Hermite kernel.
+Continuous determinants det(I - K) over products of half-lines (s_j, inf)
+use Nystrom discretization: Gauss-Legendre nodes on the truncated windows
+(s_j, s_j + LCUT] are the points, and the blocks are the symmetrized
+sqrt(w) K sqrt(w).  Every evaluation is performed twice, the second time with
 doubled order and window length; if the two disagree beyond TOL the
 evaluation refuses to return a number.
 
@@ -18,11 +20,14 @@ over the kernels' lambda rule.
 """
 
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from .combinatorics import fraction_determinant
 from .limit_kernels.kernels import (
     extended_airy_block,
     kernel_K3_block,
@@ -49,22 +54,24 @@ class RefinementError(RuntimeError):
         self.refined = refined
 
 
-def det_discrete(entry, windows):
-    """det(I - K) with K given entrywise on finite integer windows.
+def det_discrete(block, windows, exact=False):
+    """det(I - K) with K given blockwise on finite windows of points.
 
-    `windows` lists, per time index, the integer points it contributes;
-    `entry(i, x, j, y)` is the kernel between point x of window i and
-    point y of window j.
+    `windows` lists `(time, points)` pairs and `block(t1, xs1, t2, xs2)`
+    returns the kernel matrix between the points of two windows.  Windows
+    without points drop out; with none left the value is 1.  With
+    exact=True the blocks hold Fractions and so does the determinant.
     """
-    points = [(i, x) for i, window in enumerate(windows) for x in window]
-    n = len(points)
-    if n == 0:
-        return 1.0
-    mat = np.empty((n, n))
-    for a, (i, x) in enumerate(points):
-        for b, (j, y) in enumerate(points):
-            mat[a, b] = entry(i, x, j, y)
-    return float(np.linalg.det(np.eye(n) - mat))
+    windows = [(t, xs) for t, xs in windows if len(xs)]
+    if not windows:
+        return Fraction(1) if exact else 1.0
+    dtype = object if exact else float
+    mat = np.block([[np.asarray(block(t1, xs1, t2, xs2), dtype=dtype)
+                     for t2, xs2 in windows] for t1, xs1 in windows])
+    if exact:
+        return fraction_determinant(
+            (np.eye(len(mat), dtype=object) - mat).tolist())
+    return float(np.linalg.det(np.eye(len(mat)) - mat))
 
 
 def _window(s, lcut, order):
@@ -77,20 +84,17 @@ def _window(s, lcut, order):
 
 
 def _det_once(block, taus, esses, lcut, order):
-    xs, roots = [], []
+    nodes, roots = [], []
     for s in esses:
         length, n = _window(s, lcut, order)
         t, w = np.polynomial.legendre.leggauss(n)
-        xs.append(s + length / 2.0 + length / 2.0 * t)
+        nodes.append(s + length / 2.0 + length / 2.0 * t)
         roots.append(np.sqrt(length / 2.0 * w))
-    offs = np.concatenate([[0], np.cumsum([len(x) for x in xs])])
-    mat = np.empty((offs[-1], offs[-1]))
-    for i in range(len(esses)):
-        for j in range(len(esses)):
-            blk = block(taus[i], xs[i], taus[j], xs[j])
-            mat[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = (
-                roots[i][:, None] * blk * roots[j][None, :])
-    return float(np.linalg.det(np.eye(offs[-1]) - mat))
+    return det_discrete(
+        lambda i, xs1, j, xs2: (roots[i][:, None]
+                                * block(taus[i], xs1, taus[j], xs2)
+                                * roots[j][None, :]),
+        list(enumerate(nodes)))
 
 
 def det_continuous(block, taus, esses):
@@ -112,8 +116,6 @@ def det_continuous(block, taus, esses):
         raise ValueError(
             f"thresholds {list(esses)} need a {nodes}-node Nystrom matrix, "
             f"above the {MATRIX_BYTES / 1e6:.0f} MB budget")
-    if not taus:
-        return 1.0
     coarse = _det_once(block, taus, esses, LCUT, ORDER)
     refined = _det_once(block, taus, esses, 2.0 * LCUT, 2 * ORDER)
     if abs(coarse - refined) >= TOL:
@@ -134,14 +136,26 @@ def goe2_cdf(s):
     return det_continuous(kernel_K3_block, [0.0], [float(s)])
 
 
+def _integer(value, name):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+
+
 def region1_prob(taus, levels):
     """P(all onset distances >= l_j) as a finite determinant det(I - K)
-    on the windows {0..l_j-1}."""
+    on the windows {0..l_j-1}; times must be finite, levels integers."""
     if len(taus) != len(levels):
         raise ValueError("times and levels must align")
-    windows = [range(max(0, int(ell))) for ell in levels]
+    if not all(math.isfinite(tau) for tau in taus):
+        raise ValueError(f"times must be finite: {list(taus)}")
+    windows = [(tau, range(max(0, _integer(ell, "level"))))
+               for tau, ell in zip(taus, levels)]
     return det_discrete(
-        lambda i, x, j, y: kernel_region1(taus[i], x, taus[j], y), windows)
+        lambda t1, xs1, t2, xs2: [[kernel_region1(t1, x1, t2, x2)
+                                   for x2 in xs2] for x1 in xs1],
+        windows)
 
 
 def gaussian_r4_cdf(s):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import combinatorics as comb
-from .finite_kernel import joint_probability
+from .finite_kernel import joint_probability, max_level
 from .fredholm import GAUSSIAN, LAWS, ks_distance, reference_law
 from .limit_kernels.kernels import (
     airy_kernel_cd,
@@ -278,7 +278,10 @@ def run_simulate(cfg):
 
 
 def _system_rates(cfg):
-    if cfg.defects and cfg.qbar is not None:
+    if bool(cfg.defects) != (cfg.qbar is not None):
+        raise ValueError(f"defects and qbar go together: defects "
+                         f"{list(cfg.defects)}, qbar {cfg.qbar!r}")
+    if cfg.defects:
         return defect_rates(cfg.m, cfg.q,
                             {label: cfg.qbar for label in cfg.defects})
     return uniform_rates(cfg.m, cfg.q)
@@ -288,10 +291,10 @@ def run_exact_dist(cfg):
     """Exact finite-size tail table P(L(t) >= level) per requested time."""
     _require(cfg, "m", "q", "times", "out")
     rates = _system_rates(cfg)
+    tops = [max_level(t, cfg.m) for t in cfg.times]
     lines = ["time,level,prob_at_least"]
-    for t in cfg.times:
-        # the tagged particle first moves at time m, so L(t) <= t - m + 1
-        levels = cfg.levels or tuple(range(1, t - cfg.m + 2))
+    for t, top in zip(cfg.times, tops):
+        levels = cfg.levels or tuple(range(1, top + 1))
         for level in levels:
             p = joint_probability([t], [int(level)], rates)
             lines.append(f"{int(t)},{int(level)},{_fmt(p)}")

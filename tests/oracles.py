@@ -31,7 +31,7 @@ import numpy as np
 
 from steptasep import combinatorics as cb
 from steptasep import system
-from steptasep.finite_kernel import FiniteKernel
+from steptasep.finite_kernel import FiniteKernel, max_level
 from steptasep.fredholm import gaussian_r4_cdf
 from steptasep.limit_kernels.kernels import gaussian_transition
 from steptasep.limit_kernels.special import psi2_sequence
@@ -207,7 +207,7 @@ def kernel_series(t1, x1, t2, x2, rates):
     """Kernel entry via the finite Psi1*Psi2 series, one term at a time;
     exact."""
     kern = rates if isinstance(rates, FiniteKernel) else FiniteKernel(rates)
-    horizon2 = kern._bound(t2)
+    horizon2 = max_level(t2, kern.m)
     total = Fraction(0)
     if t1 >= t2:
         for mm in range(max(0, -kern.m - x2), horizon2 - x2 + 1):

@@ -17,6 +17,8 @@ and is not even stable under quadrature refinement.
 """
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from scipy.special import airy as scipy_airy
 from scipy.stats import multivariate_normal
 
 from oracles import ou_joint_cdf_quadrature
+from steptasep import finite_kernel, fredholm
+from steptasep.combinatorics import fraction_determinant
 from steptasep.finite_kernel import joint_probability
 from steptasep.fredholm import (
     LCUT,
@@ -93,37 +97,90 @@ JOINT_CASES = [(-0.5, 0.3, 0.7), (0.0, 0.0, 0.4), (1.0, -1.0, 1.5),
                (0.8, 0.8, 0.1)]
 
 
+RATES2 = [Fraction(3, 10), Fraction(1, 2)]
+
+
+def table_block(table):
+    """The block function that reads a kernel stored entrywise."""
+    def block(t1, xs1, t2, xs2):
+        return [[table[(t1, x, t2, y)] for y in xs2] for x in xs1]
+    return block
+
+
 class TestDetDiscrete:
     def test_no_points_gives_one(self):
-        assert det_discrete(lambda i, x, j, y: 0.0, [[], []]) == 1.0
+        def zero_block(t1, xs1, t2, xs2):
+            return np.zeros((len(xs1), len(xs2)))
+
+        assert det_discrete(zero_block, [(0, []), (1, [])]) == 1.0
 
     def test_single_point(self):
-        val = det_discrete(lambda i, x, j, y: 0.25, [[3]])
+        val = det_discrete(lambda t1, xs1, t2, xs2: [[0.25]], [(0, [3])])
         assert abs(val - 0.75) < 1e-15
 
     def test_matches_dense_determinant(self):
         rng = np.random.default_rng(5)
-        windows = [[0, 1, 2], [5, 6]]
+        windows = [(0, [0, 1, 2]), (1, [5, 6])]
         table = {}
-        points = [(i, x) for i, w in enumerate(windows) for x in w]
+        points = [(i, x) for i, w in windows for x in w]
         mat = np.zeros((5, 5))
         for a, pa in enumerate(points):
             for b, pb in enumerate(points):
                 table[pa + pb] = rng.normal() * 0.2
                 mat[a, b] = table[pa + pb]
-        val = det_discrete(lambda i, x, j, y: table[(i, x, j, y)], windows)
+        val = det_discrete(table_block(table), windows)
         assert abs(val - np.linalg.det(np.eye(5) - mat)) < 1e-14
 
     def test_reproduces_onset_probability(self):
         taus = [-0.4, 0.3]
         levels = [3, 2]
-        windows = [list(range(lv)) for lv in levels]
+        windows = [(tau, range(lv)) for tau, lv in zip(taus, levels)]
 
-        def entry(i, x, j, y):
-            return kernel_region1(taus[i], x, taus[j], y)
+        def block(t1, xs1, t2, xs2):
+            return [[kernel_region1(t1, x, t2, y) for y in xs2] for x in xs1]
 
-        assert abs(det_discrete(entry, windows)
+        assert abs(det_discrete(block, windows)
                    - region1_prob(taus, levels)) < 1e-13
+
+    def test_exact_and_float_routes_match_hand_built_matrix(self):
+        # random rational blocks, with an empty window in the middle
+        rng = random.Random(11)
+        windows = [(0, [0, 1]), (1, []), (2, [4, 5, 6])]
+        points = [(t, x) for t, xs in windows for x in xs]
+        table = {pa + pb: Fraction(rng.randint(-3, 3), rng.randint(2, 9))
+                 for pa in points for pb in points}
+        want = fraction_determinant(
+            [[int(a == b) - table[pa + pb] for b, pb in enumerate(points)]
+             for a, pa in enumerate(points)])
+        got = det_discrete(table_block(table), windows, exact=True)
+        assert isinstance(got, Fraction) and got == want
+        mat = np.array([[float(table[pa + pb]) for pb in points]
+                        for pa in points])
+        val = det_discrete(table_block(table), windows)
+        assert abs(val - np.linalg.det(np.eye(len(points)) - mat)) < 1e-14
+
+    def test_every_determinant_is_assembled_here(self, monkeypatch):
+        # joint_probability reaches det_discrete through finite_kernel's
+        # name, the Nystrom and onset determinants through fredholm's
+        calls = []
+        original = fredholm.det_discrete
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (fredholm, finite_kernel):
+            monkeypatch.setattr(module, "det_discrete", spy)
+        cases = [
+            (lambda: joint_probability([4], [2], RATES2), 1),
+            (lambda: joint_probability([4], [2], RATES2, exact=True), 1),
+            (lambda: region1_prob([0.3], [3]), 1),
+            (lambda: tw_gue_cdf(0.0), 2),  # coarse and refined rule
+        ]
+        for run, want in cases:
+            calls.clear()
+            run()
+            assert len(calls) == want
 
 
 class TestDetContinuous:

@@ -242,6 +242,25 @@ class TestExactDistRunner:
         report = harness.run_exact_dist(cfg)
         assert report["rows"] == 1
 
+    def test_time_before_tagged_label_rejected(self, tmp_path):
+        # t < m - 1 has no levels, so the table would be header-only
+        cfg = harness.config_from_dict(
+            {"mode": "exact-dist", "m": 50, "q": 0.5, "times": [10],
+             "out": str(tmp_path)})
+        with pytest.raises(ValueError, match="time 10 below 49"):
+            harness.run_exact_dist(cfg)
+        assert not (tmp_path / "exact_dist.csv").exists()
+
+    @pytest.mark.parametrize("partial", [{"defects": [1]}, {"qbar": 0.2}])
+    def test_defects_and_qbar_go_together(self, tmp_path, partial):
+        # either one alone would silently fall back to uniform rates
+        cfg = harness.config_from_dict(
+            dict({"mode": "exact-dist", "m": 5, "q": 0.5, "times": [8],
+                  "out": str(tmp_path)}, **partial))
+        with pytest.raises(ValueError, match="together"):
+            harness.run_exact_dist(cfg)
+        assert not (tmp_path / "exact_dist.csv").exists()
+
 
 class TestKernelEvalRunner:
     def test_single_law(self, tmp_path):

@@ -21,6 +21,7 @@ from scipy import special as sps
 from oracles import _perturbation_i_line
 from steptasep.combinatorics import elementary_symmetric
 from steptasep.finite_kernel import joint_probability
+from steptasep import fredholm
 from steptasep.fredholm import LCUT, ORDER, _window, region1_prob
 from steptasep.limit_kernels import kernels as kk
 from steptasep.limit_kernels import special
@@ -466,3 +467,17 @@ class TestOnsetKernel:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             region1_prob([0.1], [1, 2])
+
+    @pytest.mark.parametrize("taus, levels", [
+        ([0.3], [2.9]),
+        ([math.nan], [2]),
+        ([0.1, math.inf], [1, 1]),
+    ])
+    def test_bad_input_rejected_before_kernel(self, monkeypatch, taus,
+                                              levels):
+        def no_kernel(*args):
+            raise AssertionError("kernel evaluated before the input check")
+
+        monkeypatch.setattr(fredholm, "kernel_region1", no_kernel)
+        with pytest.raises(ValueError):
+            region1_prob(taus, levels)
