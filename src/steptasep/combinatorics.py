@@ -1,13 +1,14 @@
 """Exact combinatorics behind the tagged-particle law.
 
 01 matrices with Bernoulli columns, the left-down last-passage quantity, the
-dual RSK correspondence, Schur-function weights of growth sequences, and the
-enumerated law of the tagged path. Everything is exact: probabilities come
-out as fractions.Fraction whenever the stay rates are rational, so this
-module is the ground truth the determinant machinery is checked against.
-The cross-check-only routes (SSYT enumeration of Schur polynomials, the
-enumerated growth law, the geometric-entry variant) live with the tests
-(tests/oracles.py).
+dual RSK correspondence, the elementary and complete symmetric functions and
+the exact Fraction determinant behind the finite kernel, and the enumerated
+law of the tagged path. Everything is exact: probabilities come out as
+fractions.Fraction whenever the stay rates are rational, so this module is
+the ground truth the determinant machinery is checked against. The
+cross-check-only routes (Schur polynomials by Jacobi-Trudi and by SSYT
+enumeration, Schur weights of growth sequences, the enumerated growth law,
+the geometric-entry variant) live with the tests (tests/oracles.py).
 
 Conventions. A matrix is a tuple of N row-tuples of length M with entries in
 {0, 1}. Column c (0-based) carries the stay indicators of particle M - c
@@ -208,24 +209,8 @@ def first_column_identity(bits):
 
 
 # ---------------------------------------------------------------------------
-# Schur polynomials (exact)
+# Symmetric functions and the exact determinant
 # ---------------------------------------------------------------------------
-
-def is_horizontal_strip(lam, mu):
-    """True when mu is contained in lam and lam/mu has no two cells in the
-    same column (interlacing lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...)."""
-    lam = tuple(p for p in lam if p > 0)
-    mu = tuple(p for p in mu if p > 0)
-    if len(mu) > len(lam):
-        return False
-    for i, part in enumerate(lam):
-        m = mu[i] if i < len(mu) else 0
-        if m > part:
-            return False
-        if i + 1 < len(lam) and lam[i + 1] > m:
-            return False
-    return True
-
 
 def elementary_symmetric(xs):
     """e_0..e_n of the values xs, in their own arithmetic (Fractions stay
@@ -270,52 +255,6 @@ def fraction_determinant(mat):
             for c in range(col, n):
                 mat[r][c] -= factor * mat[col][c]
     return det
-
-
-def schur_polynomial(shape, xs):
-    """Exact Schur polynomial s_shape(xs) as the Jacobi-Trudi determinant
-    det(h_{shape_i - i + j}); zero when the shape needs more rows than there
-    are variables."""
-    shape = tuple(p for p in shape if p > 0)
-    xs = [as_fraction(x) for x in xs]
-    if len(shape) > len(xs):
-        return Fraction(0)
-    if not shape:
-        return Fraction(1)
-    n = len(shape)
-    table = complete_homogeneous(elementary_symmetric(xs), shape[0] + n)
-
-    def h(d):
-        return Fraction(table[d]) if d >= 0 else Fraction(0)
-
-    return fraction_determinant(
-        [[h(shape[i] - i + j) for j in range(n)] for i in range(n)])
-
-
-# ---------------------------------------------------------------------------
-# The growth-sequence measure
-# ---------------------------------------------------------------------------
-
-def schur_weight(seq, rates):
-    """Exact probability of a growth sequence of Young diagrams.
-
-    The weight is prod_i (1-q_i)^N times the Schur polynomial of the final
-    conjugate shape in the variables p_i = q_i/(1-q_i), provided every
-    consecutive difference (starting from the empty diagram) is a horizontal
-    strip; otherwise the sequence is unreachable and the weight is 0.
-    """
-    qs = [as_fraction(q) for q in rates]
-    n_steps = len(seq)
-    prev = ()
-    for lam in seq:
-        if not is_horizontal_strip(lam, prev):
-            return Fraction(0)
-        prev = lam
-    ps = [q / (1 - q) for q in reversed(qs)]
-    weight = schur_polynomial(conjugate(seq[-1]), ps)
-    for q in qs:
-        weight *= (1 - q) ** n_steps
-    return weight
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,18 @@ Continuous determinants det(I - K) over products of half-lines (s_j, inf)
 use Nystrom discretization: Gauss-Legendre nodes on the truncated windows
 (s_j, s_j + LCUT] are the points, and the blocks are the symmetrized
 sqrt(w) K sqrt(w).  Every evaluation is performed twice, the second time with
-doubled order and window length; if the two disagree beyond TOL the
-evaluation refuses to return a number.
+doubled order and window length; if the two disagree beyond TOL, or the
+result is NaN or leaves [0, 1] by TOL, the evaluation refuses to return a
+number.
 
 The reference laws used by the statistics harness, one LAWS entry each,
 are tabulated once on law-specific grids whose ends carry less than 1e-6 of
 residual mass, then interpolated linearly.  Their blocks, and every
 diagonal block of a multi-time determinant, are equal-time Airy blocks in
 Christoffel-Darboux form; only blocks between unequal times integrate
-over the kernels' lambda rule.
+over the kernels' lambda rule.  The goe-squared law adds the critical
+kernel's one border term, I_1(xi1) Ai(xi2), whose I_1 comes from the same
+contour route as every multi-defect border integral.
 """
 
 import math
@@ -50,6 +53,17 @@ class RefinementError(RuntimeError):
         super().__init__(
             f"determinant did not stabilize: {coarse!r} vs {refined!r} "
             f"under doubled quadrature (tolerance {tol!r})")
+        self.coarse = coarse
+        self.refined = refined
+
+
+class ProbabilityRangeError(RuntimeError):
+    """Raised when a stable determinant is NaN or leaves [0, 1] by TOL."""
+
+    def __init__(self, coarse, refined, tol):
+        super().__init__(
+            f"determinant is not a probability: refined {refined!r}, "
+            f"coarse {coarse!r}, outside [0, 1] by more than {tol!r}")
         self.coarse = coarse
         self.refined = refined
 
@@ -102,7 +116,8 @@ def det_continuous(block, taus, esses):
 
     `block(t1, xs1, t2, xs2)` returns the kernel matrix between node
     arrays.  The value is accepted only if doubling both the node count
-    and the window length moves it by less than TOL.  Thresholds so
+    and the window length moves it by less than TOL, and only if it lies
+    in [0, 1] up to TOL; a NaN is never returned.  Thresholds so
     negative that the refined matrix would outgrow MATRIX_BYTES are
     rejected before any kernel evaluation.
     """
@@ -120,6 +135,8 @@ def det_continuous(block, taus, esses):
     refined = _det_once(block, taus, esses, 2.0 * LCUT, 2 * ORDER)
     if abs(coarse - refined) >= TOL:
         raise RefinementError(coarse, refined, TOL)
+    if not -TOL <= refined <= 1.0 + TOL:
+        raise ProbabilityRangeError(coarse, refined, TOL)
     return refined
 
 

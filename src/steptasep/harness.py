@@ -359,7 +359,10 @@ def _suite_oracle():
 
 
 def _suite_kernels():
-    """Limit-kernel reduction chain on a 5x5 probe grid."""
+    """Limit-kernel reduction chain on a 5x5 probe grid.
+
+    K3 is K3' at strengths (0,), so critical_to_single_defect measures how
+    far a second defect of strength 1e12 is from dropping out."""
     big = 1e12
     x1 = np.array([-3.0, -1.0, 0.0, 1.2, 2.5])
     x2 = np.array([-2.5, -0.5, 0.0, 1.2, 3.0])

@@ -18,6 +18,12 @@ plus an explicit Gaussian-type correction.  The discrete Hermite kernel
 uses the analogous re-summation, with the whole-line lattice sum collapsing
 to a Poisson-type propagator dt^(x2-x1)/(x2-x1)!.
 
+The critical family is the extended Airy kernel plus sum_j I_j x J_j, one
+term per slow particle ahead of the tagged one.  Each border integral I_j
+has one route, a descending V contour, and each J_j is a combination of
+Airy derivatives.  The single-defect kernel K3 is this family at strengths
+(0,), so its I_1, the Laplace complement of Ai, takes the same contour.
+
 The rank-n kernel evaluates its closed w1 contour exactly as a residue sum
 over the poles -e^{tau1} eps_j (derivative residues for repeated values),
 leaving a single vertical-line w2 integral with Gaussian decay.
@@ -39,9 +45,7 @@ from .special import (  # noqa: F401  (perfbench wraps airy_derivative here)
 
 _SQRT_PI = math.sqrt(math.pi)
 # Gauss-Legendre order per panel of the half-line and contour rules
-# (_ORDER) and of the border sweep's panels, at most 1 long (_GAP_ORDER)
 _ORDER = 64
-_GAP_ORDER = 16
 
 
 @lru_cache(maxsize=None)
@@ -122,50 +126,6 @@ def airy_kernel_cd(xis1, xis2):
     return np.where(same, np.outer(p1, p2) - np.outer(xis1 * a1, a2), off)
 
 
-def airy_laplace_complement(tau, xi):
-    """e^{tau*xi - tau^3/3} - int_0^inf e^{-tau*lam} Ai(xi+lam) dlam.
-
-    Equals int_{-inf}^0 e^{-tau*lam} Ai(xi+lam) dlam for every tau.  For
-    tau <= -1.5 the difference form cancels badly, so the tail integral is
-    taken directly: int_0^inf e^{tau*mu} Ai(xi-mu) dmu, whose exponential
-    damps the Airy oscillation.  Otherwise the half-line integral G is
-    taken at the top point and swept down the sorted points in panels at
-    most 1 long: G(a) = int_a^b e^{-tau(x-a)} Ai(x) dx + e^{-tau(b-a)} G(b).
-    """
-    xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 0
-    xi = np.atleast_1d(xi)
-    if tau > -1.5:
-        u = np.unique(xi)
-        edges = np.unique(np.concatenate([u] + [
-            np.linspace(a, b, int(np.ceil(b - a)) + 1)
-            for a, b in zip(u[:-1], u[1:]) if b - a > 1.0]))
-        lam, w = _half_line_rule(max(0.0, -tau), edges[-1], _ORDER)
-        g = [airy_ai(edges[-1] + lam) @ (w * np.exp(-tau * lam))]
-        a = edges[:-1, None]
-        x, wx = _panel_nodes(a, edges[1:, None], _GAP_ORDER)
-        pieces = np.sum(airy_ai(x) * np.exp(-tau * (x - a)) * wx, axis=1)
-        for piece, gap in zip(pieces[::-1], np.diff(edges)[::-1]):
-            g.append(piece + math.exp(-tau * gap) * g[-1])
-        g = np.array(g[::-1])
-        out = np.exp(tau * xi - tau ** 3 / 3.0) - g[np.searchsorted(edges, xi)]
-    else:
-        # short panels resolve the Airy oscillation under the e^{tau*mu} damp
-        mu, w = _paneled_rule(45.0 / (-tau), _ORDER)
-        vals = airy_ai(xi[:, None] - mu[None, :])
-        out = (vals * (w * np.exp(tau * mu))) @ np.ones_like(mu)
-    return float(out[0]) if scalar else out
-
-
-def kernel_K3_block(tau1, xis1, tau2, xis2):
-    """Critical-defect kernel: extended Airy plus a rank-one border term."""
-    xis1 = np.atleast_1d(np.asarray(xis1, dtype=float))
-    xis2 = np.atleast_1d(np.asarray(xis2, dtype=float))
-    base = extended_airy_block(tau1, xis1, tau2, xis2)
-    border = airy_laplace_complement(tau1, xis1)
-    return base + np.outer(border, airy_ai(xis2))
-
-
 def _perturbation_i_all(tau1, xis, etas, shift=1.0):
     """I_j(tau1, xi) for j = 1..n, on the descending V contour.
 
@@ -229,6 +189,11 @@ def kernel_K3prime_block(tau1, xis1, tau2, xis2, etas):
     i_all = _perturbation_i_all(tau1, xis1, etas)
     j_all = _perturbation_j_all(tau2, xis2, etas)
     return block + i_all.T @ j_all
+
+
+def kernel_K3_block(tau1, xis1, tau2, xis2):
+    """Critical-defect kernel: the multi-defect kernel at strengths (0,)."""
+    return kernel_K3prime_block(tau1, xis1, tau2, xis2, (0.0,))
 
 
 def gaussian_transition(xi1, xi2, dtau):

@@ -1,9 +1,11 @@
 """Independent evaluation routes that exist only to cross-check the package.
 
 - Combinatorics: the quadratic longest-subsequence DP for the left-down
-  maximum, SSYT enumeration of Schur polynomials (the reference for the
-  Jacobi-Trudi determinant), the growth-sequence law by enumeration over all
-  01 matrices, and the geometric-entry variant of the last-passage identity.
+  maximum, Schur polynomials by the Jacobi-Trudi determinant and by SSYT
+  enumeration (each the reference for the other), horizontal strips and
+  the Schur weight of a growth sequence, the growth-sequence law by
+  enumeration over all 01 matrices, and the geometric-entry variant of the
+  last-passage identity.
 - Dynamics: the tagged distance driven by a given uniform block, through the
   package's one update rule.
 - Finite kernel: the free transition weight phi, the kernel entry as the
@@ -14,7 +16,8 @@
   including rates >= 1/2 where circles centered at the origin would have to
   cross the poles at (1-q_i)/q_i.
 - Critical kernel: the horizontal-line route for the perturbation
-  integrals I_j.
+  integrals I_j, and the Laplace complement of Ai by real-line quadrature,
+  the independent route for the border integral I_1 at one zero strength.
 - Stationary Gaussian process: direct two-dimensional quadrature of its
   two-time law.
 - Special functions: plain Hermite polynomials and parabolic cylinder
@@ -33,8 +36,14 @@ from steptasep import combinatorics as cb
 from steptasep import system
 from steptasep.finite_kernel import FiniteKernel, max_level
 from steptasep.fredholm import gaussian_r4_cdf
-from steptasep.limit_kernels.kernels import gaussian_transition
-from steptasep.limit_kernels.special import psi2_sequence
+from steptasep.limit_kernels.kernels import (
+    _ORDER,
+    _half_line_rule,
+    _panel_nodes,
+    _paneled_rule,
+    gaussian_transition,
+)
+from steptasep.limit_kernels.special import airy_ai, psi2_sequence
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -94,6 +103,64 @@ def _content_product(filling, xs):
         for v in row:
             out *= xs[v - 1]
     return out
+
+
+def is_horizontal_strip(lam, mu):
+    """True when mu is contained in lam and lam/mu has no two cells in the
+    same column (interlacing lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...)."""
+    lam = tuple(p for p in lam if p > 0)
+    mu = tuple(p for p in mu if p > 0)
+    if len(mu) > len(lam):
+        return False
+    for i, part in enumerate(lam):
+        m = mu[i] if i < len(mu) else 0
+        if m > part:
+            return False
+        if i + 1 < len(lam) and lam[i + 1] > m:
+            return False
+    return True
+
+
+def schur_polynomial(shape, xs):
+    """Exact Schur polynomial s_shape(xs) as the Jacobi-Trudi determinant
+    det(h_{shape_i - i + j}); zero when the shape needs more rows than there
+    are variables."""
+    shape = tuple(p for p in shape if p > 0)
+    xs = [cb.as_fraction(x) for x in xs]
+    if len(shape) > len(xs):
+        return Fraction(0)
+    if not shape:
+        return Fraction(1)
+    n = len(shape)
+    table = cb.complete_homogeneous(cb.elementary_symmetric(xs), shape[0] + n)
+
+    def h(d):
+        return Fraction(table[d]) if d >= 0 else Fraction(0)
+
+    return cb.fraction_determinant(
+        [[h(shape[i] - i + j) for j in range(n)] for i in range(n)])
+
+
+def schur_weight(seq, rates):
+    """Exact probability of a growth sequence of Young diagrams.
+
+    The weight is prod_i (1-q_i)^N times the Schur polynomial of the final
+    conjugate shape in the variables p_i = q_i/(1-q_i), provided every
+    consecutive difference (starting from the empty diagram) is a horizontal
+    strip; otherwise the sequence is unreachable and the weight is 0.
+    """
+    qs = [cb.as_fraction(q) for q in rates]
+    n_steps = len(seq)
+    prev = ()
+    for lam in seq:
+        if not is_horizontal_strip(lam, prev):
+            return Fraction(0)
+        prev = lam
+    ps = [q / (1 - q) for q in reversed(qs)]
+    weight = schur_polynomial(cb.conjugate(seq[-1]), ps)
+    for q in qs:
+        weight *= (1 - q) ** n_steps
+    return weight
 
 
 def enumerate_growth_law(n_rows, n_cols, rates):
@@ -332,6 +399,46 @@ def _perturbation_i_line(tau1, xi, etas, height=None, half_width=None,
     for eta in etas:
         vals = vals / (eta - tau1 + 1j * w)
     return float(np.real(np.trapezoid(vals, x)) / (2.0 * math.pi))
+
+
+def airy_laplace_complement(tau, xi):
+    """e^{tau*xi - tau^3/3} - int_0^inf e^{-tau*lam} Ai(xi+lam) dlam.
+
+    The border integral I_1 of the critical kernel at one zero strength, by
+    real-line quadrature instead of the package's V contour.  Equals
+    int_{-inf}^0 e^{-tau*lam} Ai(xi+lam) dlam for every tau.  For
+    tau <= -1.5 the difference form cancels badly, so the tail integral is
+    taken directly: int_0^inf e^{tau*mu} Ai(xi-mu) dmu, whose exponential
+    damps the Airy oscillation.  Otherwise the half-line integral G is
+    taken at the top point and swept down the sorted points in 16-point
+    panels at most 1 long: G(a) = int_a^b e^{-tau(x-a)} Ai(x) dx
+    + e^{-tau(b-a)} G(b).  For -1.5 < tau < 0 both terms of the difference
+    reach e^{tau*xi}, so near zeros of the result the relative error grows
+    to about 3e-10 (tau = -1.4, xi = -5.06).
+    """
+    xi = np.asarray(xi, dtype=float)
+    scalar = xi.ndim == 0
+    xi = np.atleast_1d(xi)
+    if tau > -1.5:
+        u = np.unique(xi)
+        edges = np.unique(np.concatenate([u] + [
+            np.linspace(a, b, int(np.ceil(b - a)) + 1)
+            for a, b in zip(u[:-1], u[1:]) if b - a > 1.0]))
+        lam, w = _half_line_rule(max(0.0, -tau), edges[-1], _ORDER)
+        g = [airy_ai(edges[-1] + lam) @ (w * np.exp(-tau * lam))]
+        a = edges[:-1, None]
+        x, wx = _panel_nodes(a, edges[1:, None], 16)
+        pieces = np.sum(airy_ai(x) * np.exp(-tau * (x - a)) * wx, axis=1)
+        for piece, gap in zip(pieces[::-1], np.diff(edges)[::-1]):
+            g.append(piece + math.exp(-tau * gap) * g[-1])
+        g = np.array(g[::-1])
+        out = np.exp(tau * xi - tau ** 3 / 3.0) - g[np.searchsorted(edges, xi)]
+    else:
+        # short panels resolve the Airy oscillation under the e^{tau*mu} damp
+        mu, w = _paneled_rule(45.0 / (-tau), _ORDER)
+        vals = airy_ai(xi[:, None] - mu[None, :])
+        out = (vals * (w * np.exp(tau * mu))) @ np.ones_like(mu)
+    return float(out[0]) if scalar else out
 
 
 def ou_joint_cdf_quadrature(s1, s2, tau1, tau2, order=160, floor=-8.0):

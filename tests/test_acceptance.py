@@ -29,8 +29,8 @@ from oracles import (
     enumerate_growth_law,
     ou_joint_cdf_quadrature,
     phi,
+    schur_weight,
 )
-from steptasep import combinatorics as comb
 from steptasep import harness
 from steptasep.fredholm import (
     det_continuous,
@@ -72,7 +72,7 @@ class TestGrowthLawIsSchurMeasure:
                 assert sum(law.values()) == Fraction(1)
                 for seq in all_growth_sequences(n_rows, n_cols):
                     assert law.get(seq, Fraction(0)) == \
-                        comb.schur_weight(seq, rs)
+                        schur_weight(seq, rs)
 
 
 class TestWindowedDeterminantAgainstEnumeration:

@@ -27,13 +27,14 @@ from scipy.integrate import solve_ivp
 from scipy.special import airy as scipy_airy
 from scipy.stats import multivariate_normal
 
-from oracles import ou_joint_cdf_quadrature
+from oracles import airy_laplace_complement, ou_joint_cdf_quadrature
 from steptasep import finite_kernel, fredholm
 from steptasep.combinatorics import fraction_determinant
 from steptasep.finite_kernel import joint_probability
 from steptasep.fredholm import (
     LCUT,
     ORDER,
+    ProbabilityRangeError,
     RefinementError,
     _det_once,
     _window,
@@ -48,12 +49,15 @@ from steptasep.fredholm import (
 )
 from steptasep.limit_kernels import kernels as kk
 from steptasep.limit_kernels.kernels import (
+    extended_airy_block,
     gaussian_transition,
+    kernel_K3prime_block,
     kernel_KG_block,
     kernel_Kn_block,
     kernel_region1,
 )
 from steptasep.limit_kernels.scaling import ScaledExperiment
+from steptasep.limit_kernels.special import airy_ai
 from steptasep.system import uniform_rates
 
 _PII_SOL = None
@@ -218,6 +222,25 @@ class TestDetContinuous:
         assert abs(info.value.coarse - 0.8) < 1e-12
         assert abs(info.value.refined - 0.6) < 1e-12
 
+    def test_value_outside_unit_interval_raises(self):
+        # two critical defects give a stable determinant of 1.14 at s = 1,
+        # which is not a probability
+        def two_defects(t1, x1, t2, x2):
+            return kernel_K3prime_block(t1, x1, t2, x2, (0.0, 0.0))
+
+        with pytest.raises(ProbabilityRangeError, match="1.140") as info:
+            det_continuous(two_defects, [0.0], [1.0])
+        assert abs(info.value.refined - info.value.coarse) < 1e-8
+        assert info.value.refined > 1.0 + fredholm.TOL
+
+    def test_nan_value_raises(self):
+        def nan_block(t1, x1, t2, x2):
+            return np.full((len(x1), len(x2)), np.nan)
+
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ProbabilityRangeError, match="nan"):
+            det_continuous(nan_block, [0.0], [0.0])
+
     def test_window_relabeling_invariance(self):
         a = det_continuous(kernel_KG_block, [0.0, 0.7], [-0.5, 0.3])
         b = det_continuous(kernel_KG_block, [0.7, 0.0], [0.3, -0.5])
@@ -241,6 +264,18 @@ class TestReferenceLawsAgainstPainleve:
         for s in np.arange(-6.0, 3.01, 0.75):
             _, g2 = pii_laws(float(s))
             assert abs(goe2_cdf(float(s)) - g2) < 1e-11
+
+    @pytest.mark.parametrize("s", [-6.0, -3.0, 0.0, 3.0, 5.5, 8.0])
+    def test_goe_squared_matches_laplace_complement_route(self, s):
+        # the border integral I_1 by real-line quadrature instead of the
+        # V contour; the refined nodes reach xi = s + 20, where the contour
+        # drifts for tau >= 0, and s > 3 lies past the Painleve II checks
+        def oracle_block(t1, x1, t2, x2):
+            return (extended_airy_block(t1, x1, t2, x2)
+                    + np.outer(airy_laplace_complement(t1, x1), airy_ai(x2)))
+
+        assert abs(goe2_cdf(s) - det_continuous(oracle_block, [0.0], [s])) \
+            < 1e-14
 
     def test_tw_gue_value_at_zero(self):
         assert abs(tw_gue_cdf(0.0) - 0.9693728283552624) < 1e-9
@@ -305,9 +340,10 @@ class TestGaussianTwoTime:
 
 class TestAiryEvaluationCount:
     """Equal-time laws cost a bounded number of Airy points per Nystrom
-    node: one per node for the Christoffel-Darboux block, a short gap
-    rule per node for the border sweep, and one half-line rule at the top
-    node.  Re-integrating every node over a lambda rule costs ~350."""
+    node: one per node for the Christoffel-Darboux block and one for the
+    border term's column factor Ai(xi2); the border integral I_1 is a
+    contour sum with no Airy evaluation.  Re-integrating every node over
+    a lambda rule costs ~350."""
 
     @pytest.mark.parametrize("cdf", [tw_gue_cdf, goe2_cdf])
     def test_points_linear_in_nodes(self, cdf, monkeypatch):

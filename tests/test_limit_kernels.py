@@ -2,7 +2,8 @@
 
 Every kernel has at least two routes to the same number: re-summed versus
 direct quadrature for the extended Airy kernel, V contour versus horizontal
-line for the defect border integrals, residue series versus brute circle
+line and versus the real-line Laplace complement of Ai (tests/oracles.py)
+for the defect border integrals, residue series versus brute circle
 contour for the rank-n Gaussian kernel, and finite inclusion-exclusion
 versus determinant for the lattice onset kernel.  The onset kernel is also
 cross-validated against the exact finite-system determinant under the
@@ -18,7 +19,7 @@ import pytest
 from scipy import integrate
 from scipy import special as sps
 
-from oracles import _perturbation_i_line
+from oracles import _perturbation_i_line, airy_laplace_complement
 from steptasep.combinatorics import elementary_symmetric
 from steptasep.finite_kernel import joint_probability
 from steptasep import fredholm
@@ -94,7 +95,7 @@ class TestExtendedAiry:
 class TestLaplaceComplement:
     def test_both_routes_match_direct_reference_for_damped_times(self):
         # the direct integral int_0^inf e^{tau*mu} Ai(xi-mu) dmu converges
-        # absolutely only for tau < 0; it pins both production routes on
+        # absolutely only for tau < 0; it pins both routes of the oracle on
         # either side of their -1.5 crossover
         def ref(tau, xi):
             return float(mp.quad(
@@ -103,7 +104,7 @@ class TestLaplaceComplement:
 
         for tau in (-2.5, -1.0, -0.3):
             for xi in (-3.0, 0.0, 2.0):
-                assert abs(kk.airy_laplace_complement(tau, xi)
+                assert abs(airy_laplace_complement(tau, xi)
                            - ref(tau, xi)) < 1e-10
 
     def test_positive_time_matches_high_precision_complement(self):
@@ -115,28 +116,28 @@ class TestLaplaceComplement:
                     mp.e ** (tau * xi - tau ** 3 / 3.0)
                     - mp.quad(lambda lam: mp.exp(-tau * lam)
                               * mp.airyai(xi + lam), [0, 10, 20, 40]))
-                assert abs(kk.airy_laplace_complement(tau, xi) - ref) < 1e-11
+                assert abs(airy_laplace_complement(tau, xi) - ref) < 1e-11
 
     def test_route_crossover_is_continuous(self):
         for xi in (-4.0, -1.0, 0.5, 3.0):
-            lo = kk.airy_laplace_complement(-1.5 - 1e-9, xi)
-            hi = kk.airy_laplace_complement(-1.5 + 1e-9, xi)
+            lo = airy_laplace_complement(-1.5 - 1e-9, xi)
+            hi = airy_laplace_complement(-1.5 + 1e-9, xi)
             assert abs(lo - hi) < 1e-8
 
     def test_value_at_zero_time(self):
         # B(0, xi) = 2/3 + int_0^xi Ai
         for xi in (-3.0, -1.0, 0.0, 2.0):
             ref = 2.0 / 3.0 + float(mp.quad(mp.airyai, [0, xi]))
-            assert abs(kk.airy_laplace_complement(0.0, xi) - ref) < 1e-11
+            assert abs(airy_laplace_complement(0.0, xi) - ref) < 1e-11
 
     def test_vectorized_over_positions(self):
         # the vector route sweeps down the sorted distinct points, so it
         # matches scalar calls closely rather than bit-for-bit
         xis = np.array([1.5, -2.0, 0.0, -2.0, 4.0])
-        vec = kk.airy_laplace_complement(0.4, xis)
+        vec = airy_laplace_complement(0.4, xis)
         assert vec[1] == vec[3]
         for i, xi in enumerate(xis):
-            assert abs(vec[i] - kk.airy_laplace_complement(0.4, float(xi))) \
+            assert abs(vec[i] - airy_laplace_complement(0.4, float(xi))) \
                 < 1e-13
 
 
@@ -154,8 +155,8 @@ class TestBorderSweep:
             t, _ = np.polynomial.legendre.leggauss(n)
             xs = s + length / 2.0 * (1.0 + t)
             for tau in (-1.4, -0.4, 0.0, 0.3, 1.2):
-                vec = kk.airy_laplace_complement(tau, xs)
-                ref = np.array([kk.airy_laplace_complement(tau, float(x))
+                vec = airy_laplace_complement(tau, xs)
+                ref = np.array([airy_laplace_complement(tau, float(x))
                                 for x in xs])
                 scale = np.exp(tau * xs - tau ** 3 / 3.0)
                 assert np.all(np.abs(vec - ref)
@@ -165,7 +166,7 @@ class TestBorderSweep:
         # a 25-unit gap at tau = -1 grows e^{x - xi} by e^25 across it; one
         # 10-point rule over the whole gap is off by 0.12 at xi = -3
         xs = np.array([-3.0, 22.0])
-        vec = kk.airy_laplace_complement(-1.0, xs)
+        vec = airy_laplace_complement(-1.0, xs)
         for x, v in zip(xs, vec):
             ref = float(mp.quad(lambda mu: mp.exp(-mu) * mp.airyai(x - mu),
                                 [0, 5, 10, 20, 30, 40, 80]))
@@ -179,7 +180,7 @@ class TestBorderIntegrals:
         for tau1 in (-0.8, 0.0, 0.6):
             xis = np.array([-2.0, 0.0, 1.3])
             i1 = kk._perturbation_i_all(tau1, xis, [0.0])[0]
-            b = kk.airy_laplace_complement(tau1, xis)
+            b = airy_laplace_complement(tau1, xis)
             assert np.max(np.abs(i1 - b)) < 1e-10
 
     def test_rank_one_term_keeps_relative_accuracy(self):
@@ -189,7 +190,7 @@ class TestBorderIntegrals:
         xis = np.linspace(-8.0, 12.0, 81)
         for tau1 in (-3.0, -2.0, -1.6, -1.0, -0.4, 0.0, 0.3, 1.0):
             i1 = kk._perturbation_i_all(tau1, xis, [0.0])[0]
-            b = kk.airy_laplace_complement(tau1, xis)
+            b = airy_laplace_complement(tau1, xis)
             np.testing.assert_allclose(i1, b, rtol=1e-8, atol=0)
 
     def test_derivative_orders_from_one_airy_evaluation(self, monkeypatch):
