@@ -4,10 +4,13 @@ All continuous kernels expose a block form K(tau1, xis1, tau2, xis2)
 returning the matrix K[a, b] over node arrays, which is what the Nystrom
 determinant engine consumes; a single entry is a one-point block.
 
-Equal-time blocks of the extended Airy kernel take the Christoffel-Darboux
-form, one Airy evaluation per node (Tracy-Widom, CMP 159, 1994); unequal
-times integrate over a lambda rule.  Forward-in-time entries are computed
-from the re-summed representation
+The critical family, the extended Airy kernel plus sum_j I_j x J_j with
+one term per slow particle ahead of the tagged one, has one body: K2 is it
+at strengths (), K3 at (0,).  Equal-time blocks take the Christoffel-Darboux
+form (Tracy-Widom, CMP 159, 1994), from one Airy ladder Ai, Ai', ... per
+node array that also gives each J_j; unequal times integrate over a lambda
+rule.  Forward-in-time entries are computed from the re-summed
+representation
 
     K2(tau1<tau2) = int_0^inf e^{(tau2-tau1) lam} Ai(xi1+lam) Ai(xi2+lam) dlam
                     - airy_heat_integral(xi1, xi2, tau2-tau1),
@@ -18,11 +21,8 @@ plus an explicit Gaussian-type correction.  The discrete Hermite kernel
 uses the analogous re-summation, with the whole-line lattice sum collapsing
 to a Poisson-type propagator dt^(x2-x1)/(x2-x1)!.
 
-The critical family is the extended Airy kernel plus sum_j I_j x J_j, one
-term per slow particle ahead of the tagged one.  Each border integral I_j
-has one route, a descending V contour, and each J_j is a combination of
-Airy derivatives.  The single-defect kernel K3 is this family at strengths
-(0,), so its I_1, the Laplace complement of Ai, takes the same contour.
+Each border integral I_j has one route, a descending V contour (for K3,
+I_1 is the Laplace complement of Ai).
 
 The rank-n kernel evaluates its closed w1 contour exactly as a residue sum
 over the poles -e^{tau1} eps_j (derivative residues for repeated values),
@@ -38,6 +38,7 @@ from ..combinatorics import elementary_symmetric
 from .special import (  # noqa: F401  (perfbench wraps airy_derivative here)
     airy_ai,
     airy_derivative,
+    airy_ladder,
     airy_pair,
     psi1,
     psi2_sequence,
@@ -90,9 +91,7 @@ def airy_heat_integral(xi1, xi2, dpos):
 
 def extended_airy_block(tau1, xis1, tau2, xis2):
     """Extended Airy kernel on node arrays; rows xis1, columns xis2."""
-    if tau1 == tau2:
-        return airy_kernel_cd(xis1, xis2)
-    return airy_kernel_quadrature(tau1, xis1, tau2, xis2)
+    return kernel_K3prime_block(tau1, xis1, tau2, xis2, ())
 
 
 def airy_kernel_quadrature(tau1, xis1, tau2, xis2, order=_ORDER):
@@ -116,14 +115,8 @@ def airy_kernel_quadrature(tau1, xis1, tau2, xis2, order=_ORDER):
 
 
 def airy_kernel_cd(xis1, xis2):
-    """Equal-time Airy kernel on node arrays, Christoffel-Darboux form:
-    (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y), and Ai'(x)^2 - x Ai(x)^2 at x = y."""
-    a1, p1 = airy_pair(xis1)
-    a2, p2 = (a1, p1) if np.array_equal(xis1, xis2) else airy_pair(xis2)
-    diff = np.subtract.outer(xis1, xis2)
-    same = diff == 0.0
-    off = (np.outer(a1, p2) - np.outer(p1, a2)) / np.where(same, 1.0, diff)
-    return np.where(same, np.outer(p1, p2) - np.outer(xis1 * a1, a2), off)
+    """Equal-time Airy kernel on node arrays, Christoffel-Darboux form."""
+    return kernel_K3prime_block(0.0, xis1, 0.0, xis2, ())
 
 
 def _perturbation_i_all(tau1, xis, etas, shift=1.0):
@@ -156,39 +149,36 @@ def _perturbation_i_all(tau1, xis, etas, shift=1.0):
     return out
 
 
-def _perturbation_j_all(tau2, xis, etas):
-    """J_j(tau2, xi) for j = 1..n, from Airy derivatives.
-
-    The polynomial prod_{k<j}(eta_k - tau2 + i w) expands in powers of
-    (i w), and each (i w)^r integrates to Ai^(r), by the Airy recurrence.
-    """
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    n = len(etas)
-    ders = list(airy_pair(xis))
-    for k in range(n - 2):
-        ders.append(xis * ders[k] + k * ders[k - 1])
-    out = np.empty((n, len(xis)))
-    for j in range(1, n + 1):
-        e = elementary_symmetric([etas[k] - tau2 for k in range(j - 1)])
-        acc = np.zeros(len(xis))
-        for r in range(j):
-            acc += e[j - 1 - r] * ders[r]
-        out[j - 1] = acc
-    return out
-
-
 def kernel_K3prime_block(tau1, xis1, tau2, xis2, etas):
-    """Multi-defect critical kernel: extended Airy plus sum_j I_j x J_j."""
+    """Critical-family kernel: extended Airy plus sum_j I_j x J_j, one term
+    per strength.  Equal times: (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y), and
+    Ai'(x)^2 - x Ai(x)^2 at x = y, from the ladder that gives every J_j."""
     if any(e < 0 for e in etas):
         raise ValueError("defect strengths must be nonnegative")
     xis1 = np.atleast_1d(np.asarray(xis1, dtype=float))
     xis2 = np.atleast_1d(np.asarray(xis2, dtype=float))
-    block = extended_airy_block(tau1, xis1, tau2, xis2)
+    if tau1 == tau2 or etas:
+        ladder = airy_ladder(xis2, airy_pair(xis2), len(etas) - 1)
+    if tau1 == tau2:
+        a2, p2 = ladder[:2]
+        a1, p1 = (a2, p2) if np.array_equal(xis1, xis2) else airy_pair(xis1)
+        diff = np.subtract.outer(xis1, xis2)
+        same = diff == 0.0
+        off = (np.outer(a1, p2) - np.outer(p1, a2)) / np.where(same, 1.0, diff)
+        block = np.where(same, np.outer(p1, p2) - np.outer(xis1 * a1, a2),
+                         off)
+    else:
+        block = airy_kernel_quadrature(tau1, xis1, tau2, xis2)
     if not etas:
         return block
-    i_all = _perturbation_i_all(tau1, xis1, etas)
-    j_all = _perturbation_j_all(tau2, xis2, etas)
-    return block + i_all.T @ j_all
+    # J_j: prod_{k<j}(eta_k - tau2 + i w) expands in powers of (i w), and
+    # each (i w)^r integrates to the ladder's Ai^(r)
+    j_all = np.zeros((len(etas), len(xis2)))
+    for j in range(len(etas)):
+        e = elementary_symmetric([eta - tau2 for eta in etas[:j]])
+        for r in range(j + 1):
+            j_all[j] += e[j - r] * ladder[r]
+    return block + _perturbation_i_all(tau1, xis1, etas).T @ j_all
 
 
 def kernel_K3_block(tau1, xis1, tau2, xis2):

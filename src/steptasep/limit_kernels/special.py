@@ -185,13 +185,18 @@ def airy_ai(x):
     return airy_pair(x)[0]
 
 
-def airy_derivative(x, r):
-    """r-th derivative of Ai, by Ai^(k+2) = x Ai^(k) + k Ai^(k-1)."""
-    x = np.asarray(x, dtype=float)
-    ders = list(airy_pair(x))
-    for k in range(r - 1):
+def airy_ladder(x, pair, top):
+    """[Ai, Ai', ..., Ai^(max(top, 1))] at x from pair = (Ai(x), Ai'(x))."""
+    ders = list(pair)
+    for k in range(top - 1):
         ders.append(x * ders[k] + k * ders[k - 1])
-    return ders[r]
+    return ders
+
+
+def airy_derivative(x, r):
+    """r-th derivative of Ai, from one (Ai, Ai') evaluation."""
+    x = np.asarray(x, dtype=float)
+    return airy_ladder(x, airy_pair(x), r)[r]
 
 
 def psi2_sequence(n, tau):

@@ -339,11 +339,28 @@ class TestGaussianTwoTime:
 
 
 class TestAiryEvaluationCount:
-    """Equal-time laws cost a bounded number of Airy points per Nystrom
-    node: one per node for the Christoffel-Darboux block and one for the
-    border term's column factor Ai(xi2); the border integral I_1 is a
-    contour sum with no Airy evaluation.  Re-integrating every node over
-    a lambda rule costs ~350."""
+    """Equal-time laws cost one Airy point per Nystrom node: the
+    Christoffel-Darboux block and the border term's column factor
+    J_1 = Ai(xi2) come from the same Airy ladder, and the border integral
+    I_1 is a contour sum with no Airy evaluation.  Re-integrating every
+    node over a lambda rule costs ~350."""
+
+    @pytest.mark.parametrize("s", [-3.0, 0.0])
+    def test_border_term_adds_no_airy_evaluation(self, s, monkeypatch):
+        sizes = {}
+        for cdf in (tw_gue_cdf, goe2_cdf):
+            calls = sizes[cdf] = []
+
+            def spy(x, _calls=calls, _orig=kk.airy_pair):
+                _calls.append(np.size(x))
+                return _orig(x)
+            monkeypatch.setattr(kk, "airy_pair", spy)
+            cdf(s)
+            monkeypatch.undo()
+        assert sizes[goe2_cdf] == sizes[tw_gue_cdf]
+        nodes = [_window(s, LCUT, ORDER)[1],
+                 _window(s, 2.0 * LCUT, 2 * ORDER)[1]]
+        assert sizes[tw_gue_cdf] == nodes
 
     @pytest.mark.parametrize("cdf", [tw_gue_cdf, goe2_cdf])
     def test_points_linear_in_nodes(self, cdf, monkeypatch):

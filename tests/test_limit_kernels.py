@@ -194,6 +194,9 @@ class TestBorderIntegrals:
             np.testing.assert_allclose(i1, b, rtol=1e-8, atol=0)
 
     def test_derivative_orders_from_one_airy_evaluation(self, monkeypatch):
+        # the equal-time block and every J_j share one Airy ladder; the
+        # border term I^T J is checked against J_j built from
+        # airy_derivative, row by row of I
         calls = []
 
         def spy(x):
@@ -203,15 +206,20 @@ class TestBorderIntegrals:
         monkeypatch.setattr(kk, "airy_pair", spy)
         xis = np.linspace(-5.0, 5.0, 50)
         etas = [0.3, 0.7, 1.1, 2.0]
-        j_all = kk._perturbation_j_all(0.4, xis, etas)
+        block = kk.kernel_K3prime_block(0.4, xis, 0.4, xis, etas)
         assert calls == [50]
+        i_all = kk._perturbation_i_all(0.4, xis, etas)
+        want = kk.airy_kernel_cd(xis, xis)
+        bound = 1e-15 * np.abs(want)
         for j in range(1, len(etas) + 1):
             e = elementary_symmetric([eta - 0.4 for eta in etas[:j - 1]])
-            want = sum(e[j - 1 - r] * special.airy_derivative(xis, r)
-                       for r in range(j))
+            want_j = sum(e[j - 1 - r] * special.airy_derivative(xis, r)
+                         for r in range(j))
             scale = max(np.max(np.abs(special.airy_derivative(xis, r)))
                         for r in range(j))
-            assert np.max(np.abs(j_all[j - 1] - want)) <= 1e-15 * scale
+            want = want + np.outer(i_all[j - 1], want_j)
+            bound = bound + 1e-15 * scale * np.abs(i_all[j - 1])[:, None]
+        assert np.all(np.abs(block - want) <= bound + 1e-15 * np.abs(want))
 
     def test_contour_shift_invariance(self):
         v1 = kk._perturbation_i_all(0.2, GRID1, [0.0, 1.1], shift=1.0)
