@@ -119,7 +119,7 @@ def airy_kernel_cd(xis1, xis2):
     return kernel_K3prime_block(0.0, xis1, 0.0, xis2, ())
 
 
-def _perturbation_i_all(tau1, xis, etas, shift=1.0):
+def _perturbation_i_all(tau1, xis, etas, shift=0.25):
     """I_j(tau1, xi) for j = 1..n, on the descending V contour.
 
     The contour vertex sits at i*(min_k(eta_k - tau1) - shift), below every
@@ -129,9 +129,12 @@ def _perturbation_i_all(tau1, xis, etas, shift=1.0):
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     etas = list(etas)
-    # the contour only has to stay below every pole; capping the vertex
-    # keeps the ray exponent c^2 u / 2 from overflowing when poles are high,
-    # and e^{-xi c} from magnifying rounding at negative xi
+    # the contour only has to stay below every pole.  The integrand carries
+    # e^{-xi c}, which magnifies rounding by e^{|xi c|}: at negative xi when
+    # poles are high, so the vertex is capped at 1 (which also keeps the ray
+    # exponent c^2 u / 2 from overflowing), and at positive xi when it is
+    # low, so it sits only shift below the lowest pole.  A pole below the
+    # real axis (tau1 > min eta) still puts it there.
     c = min(min(e - tau1 for e in etas) - shift, 1.0)
     top = max(9.0, 2.5 * abs(c))
     u1, w1 = _panel_nodes(0.0, 2.0, _ORDER)
