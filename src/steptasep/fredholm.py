@@ -162,17 +162,19 @@ def _integer(value, name):
 
 def region1_prob(taus, levels):
     """P(all onset distances >= l_j) as a finite determinant det(I - K)
-    on the windows {0..l_j-1}; times must be finite, levels integers."""
+    on the windows {0..l_j-1}; times must be finite, levels integers.
+    The float is clipped into [0, 1]: deep tails round to tiny negatives."""
     if len(taus) != len(levels):
         raise ValueError("times and levels must align")
     if not all(math.isfinite(tau) for tau in taus):
         raise ValueError(f"times must be finite: {list(taus)}")
     windows = [(tau, range(max(0, _integer(ell, "level"))))
                for tau, ell in zip(taus, levels)]
-    return det_discrete(
+    p = det_discrete(
         lambda t1, xs1, t2, xs2: [[kernel_region1(t1, x1, t2, x2)
                                    for x2 in xs2] for x1 in xs1],
         windows)
+    return min(max(p, 0.0), 1.0)
 
 
 def gaussian_r4_cdf(s):

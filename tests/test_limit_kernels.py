@@ -412,6 +412,11 @@ class TestOnsetKernel:
         p1 = region1_prob([0.2], [3])
         assert abs(p2 - p1) < 1e-14
 
+    @pytest.mark.parametrize("tau", [-2.0, 0.3, 2.0])
+    def test_deep_tail_is_a_probability(self, tau):
+        # det(I - K) rounds to -6.9e-121 / -1.3e-77 / -7.5e-47 here
+        assert 0.0 <= region1_prob([tau], [20]) <= 1.0
+
     def test_onetime_values_are_decreasing_probabilities(self):
         prev = 1.0 + 1e-12
         for ell in range(0, 7):
