@@ -338,6 +338,35 @@ class TestGaussianTwoTime:
         assert abs(far - gaussian_r4_cdf(0.5) * gaussian_r4_cdf(-0.3)) < 1e-9
 
 
+class TestTwoTimeAiryLaw:
+    """The two-time law det(I - K2) on (s1, inf) x (s2, inf) at times 0 and
+    delta, the one law route through the unequal-time blocks.  The Airy
+    process is stationary and reversible, and positively associated, so
+    the law is symmetric, lies between the product and the minimum of its
+    one-time marginals F2, and does not grow as the times separate."""
+
+    S1, S2 = -1.0, 1.0
+
+    def test_symmetric_under_swap_and_time_reversal(self):
+        law = det_continuous(extended_airy_block, [0.0, 2.0],
+                             [self.S1, self.S2])
+        swapped = det_continuous(extended_airy_block, [2.0, 0.0],
+                                 [self.S2, self.S1])
+        reversed_ = det_continuous(extended_airy_block, [0.0, 2.0],
+                                   [self.S2, self.S1])
+        assert abs(law - swapped) < 1e-12
+        assert abs(law - reversed_) < 1e-12
+
+    def test_between_product_and_minimum_and_decreasing_in_gap(self):
+        f1, f2 = tw_gue_cdf(self.S1), tw_gue_cdf(self.S2)
+        laws = [det_continuous(extended_airy_block, [0.0, delta],
+                               [self.S1, self.S2])
+                for delta in (0.5, 2.0, 5.0)]
+        for law in laws:
+            assert f1 * f2 <= law <= min(f1, f2)
+        assert laws[0] >= laws[1] >= laws[2]
+
+
 class TestAiryEvaluationCount:
     """Equal-time laws cost one Airy point per Nystrom node: the
     Christoffel-Darboux block and the border term's column factor
