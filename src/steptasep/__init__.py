@@ -3,8 +3,8 @@ with step initial condition.
 
 Layers, from exact to asymptotic:
 
-- combinatorics: 01 matrices, left-down last passage, dual RSK, Schur weights,
-  and the enumerated law of the tagged path (exact rational arithmetic).
+- combinatorics: 01 matrices, left-down last passage, dual RSK, and the
+  enumerated law of the tagged path (exact rational arithmetic).
 - system: the simulator (vectorized, reproducible counter-based streams) and
   the deterministic mean-position law.
 - finite_kernel: the exact finite-size multi-time determinant formula.

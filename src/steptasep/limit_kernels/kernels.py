@@ -5,11 +5,11 @@ returning the matrix K[a, b] over node arrays, which is what the Nystrom
 determinant engine consumes; a single entry is a one-point block.
 
 The critical family, the extended Airy kernel plus sum_j I_j x J_j with
-one term per slow particle ahead of the tagged one, has one body: K2 is it
-at strengths (), K3 at (0,).  Equal-time blocks take the Christoffel-Darboux
-form (Tracy-Widom, CMP 159, 1994), from one Airy ladder Ai, Ai', ... per
-node array that also gives each J_j; unequal times integrate over a lambda
-rule.  Forward-in-time entries are computed from the re-summed
+one term per slow particle ahead of the tagged one, has one body: K2 is
+the family at strengths (), K3 at (0,).  Equal-time blocks take the
+Christoffel-Darboux form (Tracy-Widom, CMP 159, 1994), from one Airy ladder
+Ai, Ai', ... per node array that also gives each J_j; unequal times
+integrate over a lambda rule.  Forward-in-time entries are computed from the re-summed
 representation
 
     K2(tau1<tau2) = int_0^inf e^{(tau2-tau1) lam} Ai(xi1+lam) Ai(xi2+lam) dlam
@@ -134,7 +134,8 @@ def _perturbation_i_all(tau1, xis, etas, shift=0.25):
     # poles are high, so the vertex is capped at 1 (which also keeps the ray
     # exponent c^2 u / 2 from overflowing), and at positive xi when it is
     # low, so it sits only shift below the lowest pole.  A pole below the
-    # real axis (tau1 > min eta) still puts it there.
+    # real axis (tau1 > min eta) makes c < 0 for any shift, so large
+    # positive xi still loses accuracy there.
     c = min(min(e - tau1 for e in etas) - shift, 1.0)
     top = max(9.0, 2.5 * abs(c))
     u1, w1 = _panel_nodes(0.0, 2.0, _ORDER)
