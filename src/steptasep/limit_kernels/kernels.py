@@ -133,9 +133,10 @@ def _perturbation_i_all(tau1, xis, etas, shift=0.25):
     # e^{-xi c}, which magnifies rounding by e^{|xi c|}: at negative xi when
     # poles are high, so the vertex is capped at 1 (which also keeps the ray
     # exponent c^2 u / 2 from overflowing), and at positive xi when it is
-    # low, so it sits only shift below the lowest pole.  A pole below the
-    # real axis (tau1 > min eta) makes c < 0 for any shift, so large
-    # positive xi still loses accuracy there.
+    # low, so it sits only shift below the lowest pole.  With that pole
+    # below the real axis (tau1 > min eta) the integral itself grows like
+    # e^{xi (tau1 - min eta)}, so again only e^{xi shift} magnifies the
+    # relative error.
     c = min(min(e - tau1 for e in etas) - shift, 1.0)
     top = max(9.0, 2.5 * abs(c))
     u1, w1 = _panel_nodes(0.0, 2.0, _ORDER)

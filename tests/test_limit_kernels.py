@@ -193,13 +193,14 @@ class TestBorderIntegrals:
             b = airy_laplace_complement(tau1, xis)
             np.testing.assert_allclose(i1, b, rtol=1e-8, atol=0)
 
-    def test_rank_one_term_keeps_relative_accuracy_at_large_xi(self):
-        # at tau1 = 0 the pole sits on the real axis and the vertex at
-        # c = -shift, so e^{-xi c} magnifies rounding by e^{xi shift}: a
-        # unit depth gave 2e-4 relative at xi = 28
+    @pytest.mark.parametrize("tau1", [0.0, 0.5, 1.0])
+    def test_rank_one_term_keeps_relative_accuracy_at_large_xi(self, tau1):
+        # the vertex sits shift below the pole at -tau1, and e^{-xi c}
+        # magnifies rounding by e^{xi shift} relative to the value: a unit
+        # depth gave 2e-4 relative at xi = 28, tau1 = 0
         xis = np.array([16.0, 20.0, 24.0, 28.0])
-        i1 = kk._perturbation_i_all(0.0, xis, [0.0])[0]
-        np.testing.assert_allclose(i1, airy_laplace_complement(0.0, xis),
+        i1 = kk._perturbation_i_all(tau1, xis, [0.0])[0]
+        np.testing.assert_allclose(i1, airy_laplace_complement(tau1, xis),
                                    rtol=1e-11, atol=0)
 
     def test_derivative_orders_from_one_airy_evaluation(self, monkeypatch):
