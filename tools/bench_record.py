@@ -1,15 +1,16 @@
 """Record the benchmark's end-to-end medians for a parent and a change.
 
     python3 tools/bench_record.py --parent ../parent --change . \
-        --pairs 5 --out BENCH_12.json
+        --out BENCH_12.json
 
-Both arguments are checkouts of the repository.  Each pair runs
-`perfbench/run.py --trace 0` once in each checkout, unchanged, with the
-workloads and run length that the change's BENCHMARK.json declares; the
-side that runs first alternates from pair to pair, and pair i uses seed
-801 + i on both sides.  The output file holds, per workload and side, every
-run's end-to-end metrics, their median and quartiles, the failed operation
-count, and the `src/` line count and machine facts that run.py reports.
+Both arguments are checkouts of the repository.  Each of the PAIRS = 10
+pairs per workload runs `perfbench/run.py --trace 0` once in each checkout,
+unchanged, with the workloads and run length that the change's
+BENCHMARK.json declares; the side that runs first alternates from pair to
+pair, and pair i uses seed 801 + i on both sides.  The output file holds,
+per workload and side, every run's end-to-end metrics, their median and
+quartiles, the failed operation count, and the `src/` line count and
+machine facts that run.py reports.
 Standard library only.
 """
 
@@ -21,20 +22,18 @@ import sys
 from pathlib import Path
 
 SEED0 = 801
+PAIRS = 10
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     for side in (args.parent, args.change):
         if not (side / "perfbench" / "run.py").is_file():
             parser.error(f"{side} is not a checkout with perfbench/run.py")
-    if args.pairs < 1:
-        parser.error("--pairs must be positive")
     return args
 
 
@@ -54,9 +53,8 @@ def summarize(runs, names):
            "src_lines": runs[0]["facts"]["src_lines"], "metrics": {}}
     for name in names:
         values = [r["metrics"][name]["value"] for r in runs]
-        q1, median, q3 = (statistics.quantiles(values, n=4,
-                                               method="inclusive")
-                          if len(values) > 1 else values * 3)
+        q1, median, q3 = statistics.quantiles(values, n=4,
+                                              method="inclusive")
         out["metrics"][name] = {"median": median, "q1": q1, "q3": q3,
                                 "unit": runs[0]["metrics"][name]["unit"],
                                 "runs": values}
@@ -68,12 +66,12 @@ def main(argv=None):
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     names = [m["name"] for m in bench["end_to_end"]]
     sides = {"parent": args.parent, "change": args.change}
-    record = {"pairs": args.pairs, "seconds": bench["run_seconds"],
-              "seeds": [SEED0 + i for i in range(args.pairs)],
+    record = {"pairs": PAIRS, "seconds": bench["run_seconds"],
+              "seeds": [SEED0 + i for i in range(PAIRS)],
               "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         runs = {side: [] for side in sides}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for side in order:
                 facts, result = run_once(sides[side], workload, SEED0 + i,
