@@ -10,9 +10,22 @@ rates are rational. The residues need the series prod_i 1/(1 - c_i s) for
 c = p and c = q; its coefficients are the complete homogeneous polynomials,
 extended one degree at a time from the elementary symmetric ones.
 
-The independent routes, the kernel series summed term by term and direct
-double-contour quadrature of the kernel, live with the tests
-(tests/oracles.py), which compare them with this module pointwise.
+All of this runs on plain integers over fixed denominators. With B and D
+the least common multiples of the denominators of the q_i and of the
+p_i = q_i/(1 - q_i), q_i = Q_i/B and p_i = P_i/D for integers Q_i, P_i, so
+e_k(p) = E_k/D^k and h_k(p) = H_k/D^k with integer E_k, H_k (the same
+recurrences on the P_i), and likewise for q over B. Hence, with
+T = t - M + 1,
+    Psi2(x, t) is an integer over D^M,
+    Psi1(x, t) is an integer over D^max(x - T, 0) B^(M + max(T - 1, 0)),
+and a running sum along a diagonal is an integer over one common
+denominator once each term is scaled to the diagonal's largest power of D.
+The only Fraction built per kernel entry is the finished value.
+
+The independent routes, Psi1 and Psi2 by their residue formulas in Fraction
+arithmetic, the kernel series summed term by term and direct double-contour
+quadrature of the kernel, live with the tests (tests/oracles.py), which
+compare them with this module pointwise.
 
 The kernel is the finite series K(t1, x1; t2, x2) = sum_w Psi1(w + d, t1)
 Psi2(w, t2) along the diagonal d = x1 - x2, with Psi2 supported on
@@ -36,7 +49,7 @@ I - K is assembled: in Fractions with exact=True, in floats otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 
 from .combinatorics import (
     as_fraction,
@@ -63,10 +76,18 @@ def max_level(t, m):
     return t - m + 1
 
 
+def _powers(powers, n):
+    """Extend powers = [1, b, b^2, ...] in place through b^n."""
+    while len(powers) <= n:
+        powers.append(powers[-1] * powers[1])
+    return powers
+
+
 class FiniteKernel:
     """Exact evaluator for one vector of stay rates q_1..q_M.
 
-    Caches the Psi values, which depend only on (x, t).
+    Caches the integer Psi numerators, which depend only on (x, t).
+    len() is the particle count M.
     """
 
     def __init__(self, rates):
@@ -77,60 +98,89 @@ class FiniteKernel:
             raise ValueError("stay rates must lie in [0, 1)")
         self.m = len(self.qs)
         self.ps = tuple(q / (1 - q) for q in self.qs)
-        self._ep = elementary_symmetric(self.ps)
-        self._eq = elementary_symmetric(self.qs)
-        self._prod_one_minus_q = Fraction(1)
-        for q in self.qs:
-            self._prod_one_minus_q *= 1 - q
+        # q_i = Q_i/B and p_i = P_i/D with integers Q_i, P_i
+        self._b = lcm(*(q.denominator for q in self.qs))
+        self._d = lcm(*(p.denominator for p in self.ps))
+        big_q = [int(q * self._b) for q in self.qs]
+        self._eq = elementary_symmetric(big_q)
+        self._ep = elementary_symmetric([int(p * self._d) for p in self.ps])
+        self._prod_one_minus_q = prod(self._b - q for q in big_q)  # B^M times
+        self._bpow, self._dpow = [1, self._b], [1, self._d]
         self._psi1_cache = {}
         self._psi2_cache = {}
         self._hp = [1]
         self._hq = [1]
 
-    def psi2(self, x, t):
-        """Coefficient of w^(-x) in (1 + 1/w)^(t-M+1) prod_i(1 - p_i w)."""
+    def __len__(self):
+        return self.m
+
+    def _psi1_denominator(self, x, t):
+        horizon = max_level(t, self.m)
+        return (self._d ** max(x - horizon, 0)
+                * self._b ** (self.m + max(horizon - 1, 0)))
+
+    def psi2_numerator(self, x, t):
+        """D^M Psi2(x, t), an integer."""
         key = (x, t)
         if key not in self._psi2_cache:
             horizon = max_level(t, self.m)
-            total = Fraction(0)
+            dpow = _powers(self._dpow, self.m)
+            total = 0
             for b, eb in enumerate(self._ep):
                 c = x + b
                 if 0 <= c <= horizon:
-                    total += (-1) ** b * eb * comb(horizon, c)
+                    total += (-1) ** b * eb * dpow[self.m - b] * comb(horizon, c)
             self._psi2_cache[key] = total
         return self._psi2_cache[key]
+
+    def psi1_numerator(self, x, t):
+        """Psi1(x, t) times its denominator D^max(x-T, 0) B^(M+max(T-1, 0)),
+        an integer (T = t-M+1)."""
+        key = (x, t)
+        if key not in self._psi1_cache:
+            horizon = max_level(t, self.m)
+            k = max(x - horizon, 0)
+            deg = max(horizon - 1, 0)
+            dpow = _powers(self._dpow, k)
+            bpow = _powers(self._bpow, self.m + deg)
+            total = 0
+            if x >= horizon:
+                # residue at 0: sum_j C(-T, k-j) h_j(p), over D^k
+                h = complete_homogeneous(self._ep, k, self._hp)
+                total += bpow[self.m + deg] * sum(
+                    integer_binomial(-horizon, k - j) * h[j] * dpow[k - j]
+                    for j in range(k + 1))
+            if horizon >= 1:
+                # residue at -1: prod(1-q) times a sum over h_j(q), over
+                # B^(M+deg)
+                a = horizon - x - 1
+                h = complete_homogeneous(self._eq, deg, self._hq)
+                acc = sum(
+                    (-1) ** j * integer_binomial(a, j) * h[deg - j] * bpow[j]
+                    for j in range(deg + 1)
+                )
+                sign = -1 if a % 2 else 1
+                total += sign * self._prod_one_minus_q * acc * dpow[k]
+            self._psi1_cache[key] = total
+        return self._psi1_cache[key]
 
     def psi1(self, x, t):
         """Sum of the residues at z=0 and z=-1 of
         z^(t-M-x) (1+z)^(-(t-M+1)) prod_i 1/(1 - p_i z)."""
-        key = (x, t)
-        if key not in self._psi1_cache:
-            horizon = max_level(t, self.m)
-            total = Fraction(0)
-            if x >= horizon:
-                k = x - horizon
-                h = complete_homogeneous(self._ep, k, self._hp)
-                total += sum(
-                    integer_binomial(-horizon, k - j) * h[j] for j in range(k + 1)
-                )
-            if horizon >= 1:
-                deg = horizon - 1
-                a = horizon - x - 1
-                h = complete_homogeneous(self._eq, deg, self._hq)
-                acc = sum(
-                    (-1) ** j * integer_binomial(a, j) * h[deg - j]
-                    for j in range(deg + 1)
-                )
-                sign = -1 if a % 2 else 1
-                total += sign * self._prod_one_minus_q * acc
-            self._psi1_cache[key] = total
-        return self._psi1_cache[key]
+        return Fraction(self.psi1_numerator(x, t),
+                        self._psi1_denominator(x, t))
+
+    def psi2(self, x, t):
+        """Coefficient of w^(-x) in (1 + 1/w)^(t-M+1) prod_i(1 - p_i w)."""
+        return Fraction(self.psi2_numerator(x, t), self._d ** self.m)
 
     def block(self, t1, xs1, t2, xs2):
         """Kernel entries K(t1, x1; t2, x2) for x1 in xs1 (rows) and x2 in
-        xs2 (columns), by one running sum per diagonal; exact."""
-        horizon2 = max_level(t2, self.m)
+        xs2 (columns), by one integer running sum per diagonal; exact."""
+        m = self.m
+        horizon1, horizon2 = max_level(t1, m), max_level(t2, m)
         forward = t1 >= t2
+        psi1, psi2 = self.psi1_numerator, self.psi2_numerator
         out = [[None] * len(xs2) for _ in xs1]
         diagonals = {}
         for i, x1 in enumerate(xs1):
@@ -139,18 +189,27 @@ class FiniteKernel:
         for d, cells in diagonals.items():
             # walk the diagonal in the direction its running sum grows
             cells.sort(reverse=forward)
-            total = Fraction(0)
-            w = horizon2 if forward else -self.m
+            # Psi1 Psi2 terms are integers over D^M times the Psi1
+            # denominator, whose power of D grows with w; each is scaled to
+            # the largest one the walk reaches, at w = top
+            top = horizon2 if forward else min(cells[-1][0] - 1, horizon2)
+            kmax = max(top + d - horizon1, 0)
+            dpow = _powers(self._dpow, kmax)
+            den = self._d ** m * self._psi1_denominator(top + d, t1)
+            total = 0
+            w = horizon2 if forward else -m
             for x2, i, j in cells:
                 if forward:
-                    while w >= max(x2, -self.m):
-                        total += self.psi1(w + d, t1) * self.psi2(w, t2)
+                    while w >= max(x2, -m):
+                        total += (psi1(w + d, t1) * psi2(w, t2)
+                                  * dpow[kmax - max(w + d - horizon1, 0)])
                         w -= 1
                 else:
                     while w <= min(x2 - 1, horizon2):
-                        total -= self.psi1(w + d, t1) * self.psi2(w, t2)
+                        total -= (psi1(w + d, t1) * psi2(w, t2)
+                                  * dpow[kmax - max(w + d - horizon1, 0)])
                         w += 1
-                out[i][j] = total
+                out[i][j] = Fraction(total, den)
         return out
 
     def entry(self, t1, x1, t2, x2):
@@ -189,12 +248,13 @@ def joint_probability(times, levels, rates, exact=False):
     particle first moves at the step to time M and at most once per step,
     so L(t) <= t-M+1) and short-circuits to 0. Times from M-1 on are
     accepted; times and levels must be integers, one level per time, and
-    there must be at least one particle. With exact=True and rational rates
-    the value is a Fraction with no rounding at all. The float route is
-    accurate to about 1e-12 absolute and is clipped into [0, 1]; deep tails
-    need exact=True.
+    there must be at least one particle. `rates` may also be a FiniteKernel,
+    whose Psi caches then carry over between calls. With exact=True and
+    rational rates the value is a Fraction with no rounding at all. The
+    float route is accurate to about 1e-12 absolute and is clipped into
+    [0, 1]; deep tails need exact=True.
     """
-    kern = FiniteKernel(rates)
+    kern = rates if isinstance(rates, FiniteKernel) else FiniteKernel(rates)
     blocks, impossible = _windows(times, levels, kern)
     if impossible:
         return Fraction(0) if exact else 0.0

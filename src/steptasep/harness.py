@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import combinatorics as comb
-from .finite_kernel import joint_probability, max_level
+from .finite_kernel import FiniteKernel, joint_probability, max_level
 from .fredholm import GAUSSIAN, LAWS, ks_distance, reference_law
 from .limit_kernels.kernels import (
     airy_kernel_cd,
@@ -57,6 +57,14 @@ _MODE_DEFAULTS = {
 }
 
 
+def _integral(value):
+    """int(value), refusing values that int() would truncate, such as 2.9."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 def _tuple_of(kind):
     def cast(value):
         return tuple(kind(v) for v in value)
@@ -64,12 +72,12 @@ def _tuple_of(kind):
 
 
 _CASTS = {
-    "mode": str, "m": int, "q": float, "qbar": float,
-    "defects": _tuple_of(int), "region": str, "u": float,
-    "strengths": _tuple_of(float), "horizon": int,
-    "times": _tuple_of(int), "levels": _tuple_of(int),
-    "law": str, "suites": _tuple_of(str), "n_samples": int,
-    "master_seed": int, "out": str, "tolerance": float,
+    "mode": str, "m": _integral, "q": float, "qbar": float,
+    "defects": _tuple_of(_integral), "region": str, "u": float,
+    "strengths": _tuple_of(float), "horizon": _integral,
+    "times": _tuple_of(_integral), "levels": _tuple_of(_integral),
+    "law": str, "suites": _tuple_of(str), "n_samples": _integral,
+    "master_seed": _integral, "out": str, "tolerance": float,
 }
 
 
@@ -137,7 +145,10 @@ def config_from_dict(data):
     kwargs = {}
     for key, value in data.items():
         if value is not None:
-            kwargs[key] = _CASTS[key](value)
+            try:
+                kwargs[key] = _CASTS[key](value)
+            except ValueError as err:
+                raise ValueError(f"config field {key!r}: {err}") from None
     if "mode" not in kwargs:
         raise ValueError("config must carry a mode")
     return ExperimentConfig(**kwargs)
@@ -290,13 +301,14 @@ def _system_rates(cfg):
 def run_exact_dist(cfg):
     """Exact finite-size tail table P(L(t) >= level) per requested time."""
     _require(cfg, "m", "q", "times", "out")
-    rates = _system_rates(cfg)
+    # one kernel for the whole table, so its Psi caches serve every level
+    kern = FiniteKernel(_system_rates(cfg))
     tops = [max_level(t, cfg.m) for t in cfg.times]
     lines = ["time,level,prob_at_least"]
     for t, top in zip(cfg.times, tops):
         levels = cfg.levels or tuple(range(1, top + 1))
         for level in levels:
-            p = joint_probability([t], [int(level)], rates)
+            p = joint_probability([t], [int(level)], kern)
             lines.append(f"{int(t)},{int(level)},{_fmt(p)}")
     out = Path(cfg.out)
     path = _write_lines(out / "exact_dist.csv", lines)

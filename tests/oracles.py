@@ -8,9 +8,11 @@
   last-passage identity.
 - Dynamics: the tagged distance driven by a given uniform block, through the
   package's one update rule.
-- Finite kernel: the free transition weight phi, the kernel entry as the
-  direct Psi1*Psi2 series summed term by term (the reference for the
-  package's running sums along diagonals), and direct double-contour
+- Finite kernel: the free transition weight phi, Psi1 and Psi2 by their
+  residue formulas in Fraction arithmetic (the reference for the package's
+  integer numerators), the kernel entry as the direct Psi1*Psi2 series of
+  those Fractions summed term by term (the reference for the package's
+  running sums along diagonals), and direct double-contour
   quadrature of the kernel on circles centered at -1/2. That center keeps
   the admissible radius window open for every stay rate in [0, 1),
   including rates >= 1/2 where circles centered at the origin would have to
@@ -34,7 +36,7 @@ import numpy as np
 
 from steptasep import combinatorics as cb
 from steptasep import system
-from steptasep.finite_kernel import FiniteKernel, max_level
+from steptasep.finite_kernel import FiniteKernel, integer_binomial, max_level
 from steptasep.fredholm import gaussian_r4_cdf
 from steptasep.limit_kernels.kernels import (
     _ORDER,
@@ -270,18 +272,75 @@ def phi(t1, t2, x1, x2):
     return comb(t2 - t1, x2 - x1) if 0 <= x2 - x1 <= t2 - t1 else 0
 
 
+class ResiduePsi:
+    """Psi1 and Psi2 by their residue formulas in Fraction arithmetic, the
+    independent route for FiniteKernel's integer numerators; memoized.
+
+    Psi2(x, t) is the coefficient of w^(-x) in (1 + 1/w)^T prod_i(1 - p_i w)
+    and Psi1(x, t) the sum of the residues at z=0 and z=-1 of
+    z^(T-1-x) (1+z)^(-T) prod_i 1/(1 - p_i z), with T = t-M+1.
+    """
+
+    def __init__(self, rates):
+        self.qs = tuple(cb.as_fraction(q) for q in rates)
+        self.m = len(self.qs)
+        ps = [q / (1 - q) for q in self.qs]
+        self._ep = cb.elementary_symmetric(ps)
+        self._eq = cb.elementary_symmetric(self.qs)
+        self._prod_one_minus_q = Fraction(1)
+        for q in self.qs:
+            self._prod_one_minus_q *= 1 - q
+        self._hp = [1]
+        self._hq = [1]
+        self._psi1_cache = {}
+        self._psi2_cache = {}
+
+    def psi2(self, x, t):
+        key = (x, t)
+        if key not in self._psi2_cache:
+            horizon = max_level(t, self.m)
+            total = Fraction(0)
+            for b, eb in enumerate(self._ep):
+                c = x + b
+                if 0 <= c <= horizon:
+                    total += (-1) ** b * eb * comb(horizon, c)
+            self._psi2_cache[key] = total
+        return self._psi2_cache[key]
+
+    def psi1(self, x, t):
+        key = (x, t)
+        if key not in self._psi1_cache:
+            horizon = max_level(t, self.m)
+            total = Fraction(0)
+            if x >= horizon:
+                k = x - horizon
+                h = cb.complete_homogeneous(self._ep, k, self._hp)
+                total += sum(integer_binomial(-horizon, k - j) * h[j]
+                             for j in range(k + 1))
+            if horizon >= 1:
+                deg = horizon - 1
+                a = horizon - x - 1
+                h = cb.complete_homogeneous(self._eq, deg, self._hq)
+                acc = sum((-1) ** j * integer_binomial(a, j) * h[deg - j]
+                          for j in range(deg + 1))
+                sign = -1 if a % 2 else 1
+                total += sign * self._prod_one_minus_q * acc
+            self._psi1_cache[key] = total
+        return self._psi1_cache[key]
+
+
 def kernel_series(t1, x1, t2, x2, rates):
-    """Kernel entry via the finite Psi1*Psi2 series, one term at a time;
-    exact."""
-    kern = rates if isinstance(rates, FiniteKernel) else FiniteKernel(rates)
-    horizon2 = max_level(t2, kern.m)
+    """Kernel entry via the finite Psi1*Psi2 series of the residue route
+    (`rates` or a ResiduePsi built on them), one term at a time; exact."""
+    psi = rates if isinstance(rates, ResiduePsi) else ResiduePsi(rates)
+    horizon2 = max_level(t2, psi.m)
     total = Fraction(0)
     if t1 >= t2:
-        for mm in range(max(0, -kern.m - x2), horizon2 - x2 + 1):
-            total += kern.psi1(x1 + mm, t1) * kern.psi2(x2 + mm, t2)
+        for mm in range(max(0, -psi.m - x2), horizon2 - x2 + 1):
+            total += psi.psi1(x1 + mm, t1) * psi.psi2(x2 + mm, t2)
     else:
-        for mm in range(max(0, x2 - 1 - horizon2), x2 + kern.m):
-            total -= kern.psi1(x1 - mm - 1, t1) * kern.psi2(x2 - mm - 1, t2)
+        for mm in range(max(0, x2 - 1 - horizon2), x2 + psi.m):
+            total -= psi.psi1(x1 - mm - 1, t1) * psi.psi2(x2 - mm - 1, t2)
     return total
 
 

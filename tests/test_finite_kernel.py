@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import (kernel_K, kernel_quadrature, kernel_series, phi,
-                     psi1_quadrature)
+                     psi1_quadrature, ResiduePsi)
 from steptasep import combinatorics as cb
 from steptasep import finite_kernel as fk
 
@@ -99,6 +99,25 @@ class TestPsi:
         for x in range(-2, 6):
             assert abs(psi1_quadrature(x, 5, kern) - float(kern.psi1(x, 5))) < 1e-10
 
+    def test_integer_route_equals_residue_route(self):
+        # random rational rates with zero and slow (q up to 9/10) particles;
+        # x runs from below -M to k = x - (t-M+1) = 12, where the quadrature
+        # oracle no longer settles for p >= 1
+        rng = random.Random(13)
+        for m in range(1, 7):
+            for _ in range(3):
+                rates = [Fraction(rng.randrange(den), den)
+                         for den in rng.choices(range(2, 11), k=m)]
+                rates[rng.randrange(m)] = Fraction(0)
+                rates[rng.randrange(m)] = Fraction(rng.randrange(7, 10), 10)
+                kern = fk.FiniteKernel(rates)
+                psi = ResiduePsi(rates)
+                for t in (m - 1, m, m + 1, m + 4):
+                    horizon = t - m + 1
+                    for x in range(-m - 2, horizon + 13):
+                        assert kern.psi1(x, t) == psi.psi1(x, t), (rates, x, t)
+                        assert kern.psi2(x, t) == psi.psi2(x, t), (rates, x, t)
+
     def test_psi1_quadrature_far_above_support(self):
         # k = x - (t-M+1) runs to 12, deep into the p-series, with zero stay
         # rates among the particles; psi1 decays like max(p)^k there, so
@@ -175,6 +194,7 @@ class TestKernelBlock:
                          for den in rng.choices(range(2, 13), k=m)]
                 rates[rng.randrange(m)] = Fraction(0)
                 kern = fk.FiniteKernel(rates)
+                psi = ResiduePsi(rates)
                 times = (m - 1, m + 1, m + 4)
                 for t1, t2 in itertools.product(times, repeat=2):
                     xs1 = list(range(-m - 2, t1 - m + 4))
@@ -182,7 +202,7 @@ class TestKernelBlock:
                     rng.shuffle(xs1)
                     rng.shuffle(xs2)
                     got = kern.block(t1, xs1, t2, xs2)
-                    want = [[kernel_series(t1, x1, t2, x2, kern)
+                    want = [[kernel_series(t1, x1, t2, x2, psi)
                              for x2 in xs2] for x1 in xs1]
                     assert got == want, (rates, t1, t2)
                     # columns past the support t2-M+1 vanish: the sum is
@@ -197,15 +217,30 @@ class TestKernelBlock:
         # the n = 45 window at M=50, t=100 needs 1.5 n^2 products; one
         # series per entry made 46,575 psi1 calls
         calls = []
-        psi1 = fk.FiniteKernel.psi1
+        psi1 = fk.FiniteKernel.psi1_numerator
 
         def counted(self, x, t):
             calls.append((x, t))
             return psi1(self, x, t)
 
-        monkeypatch.setattr(fk.FiniteKernel, "psi1", counted)
+        monkeypatch.setattr(fk.FiniteKernel, "psi1_numerator", counted)
         fk.joint_probability([100], [45], (0.5,) * 50)
-        assert len(calls) <= 2 * 45 ** 2
+        assert 0 < len(calls) <= 2 * 45 ** 2
+
+    def test_no_fraction_arithmetic_in_block(self, monkeypatch):
+        # the running sums stay in integers; each entry is one Fraction
+        kern = fk.FiniteKernel([Fraction(1, 3), Fraction(0), Fraction(2, 7)])
+        ops = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+            def counted(self, other, _op=getattr(Fraction, name), _name=name):
+                ops.append(_name)
+                return _op(self, other)
+            monkeypatch.setattr(Fraction, name, counted)
+        for t1, t2 in itertools.product((4, 6), repeat=2):
+            got = kern.block(t1, range(-4, 5), t2, range(-4, 5))
+            assert all(type(v) is Fraction for row in got for v in row)
+        assert ops == []
 
 
 def oracle_joint(law, pairs):

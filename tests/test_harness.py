@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from steptasep import harness
-from steptasep.finite_kernel import joint_probability
+from steptasep.finite_kernel import FiniteKernel, joint_probability
 from steptasep.system import uniform_rates
 
 
@@ -49,6 +49,22 @@ class TestConfig:
              "defects": [1, 2], "u": 2})
         assert cfg.m == 40 and cfg.q == 0.1
         assert cfg.defects == (1, 2) and cfg.u == 2.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("levels", [2.9]), ("times", [6.7]), ("m", 2.5), ("horizon", 10.5),
+        ("n_samples", 3.5), ("master_seed", 1.5), ("defects", [1, 1.5])])
+    def test_non_integral_integer_fields_rejected(self, field, value):
+        # int() would truncate 2.9 to 2 and run the wrong experiment
+        with pytest.raises(ValueError, match=field):
+            harness.config_from_dict({"mode": "exact-dist", field: value})
+
+    def test_integral_floats_keep_their_digest(self):
+        a = harness.config_from_dict(
+            {"mode": "exact-dist", "m": 5.0, "times": [9.0], "levels": [2]})
+        b = harness.config_from_dict(
+            {"mode": "exact-dist", "m": 5, "times": [9], "levels": [2]})
+        assert a == b and a.digest == b.digest
+        assert isinstance(a.m, int) and isinstance(a.times[0], int)
 
     def test_digest_stable_and_sensitive(self):
         a = harness.config_from_dict({"mode": "simulate", "m": 10, "q": 0.1})
@@ -234,6 +250,32 @@ class TestExactDistRunner:
         for t_str, level_str, p_str in rows:
             want = joint_probability([int(t_str)], [int(level_str)], rates)
             assert float(p_str) == pytest.approx(want, abs=1e-12)
+
+    def test_one_kernel_per_table(self, tmp_path, monkeypatch):
+        # the levels of a column share one kernel and so its Psi caches
+        built, calls = [], []
+        init, joint = FiniteKernel.__init__, harness.joint_probability
+
+        def counted_init(self, rates):
+            built.append(rates)
+            init(self, rates)
+
+        def counted_joint(*args, **kwargs):
+            calls.append(args[1])
+            return joint(*args, **kwargs)
+
+        monkeypatch.setattr(FiniteKernel, "__init__", counted_init)
+        monkeypatch.setattr(harness, "joint_probability", counted_joint)
+        cfg = harness.config_from_dict(
+            {"mode": "exact-dist", "m": 5, "q": 0.5, "times": [9],
+             "out": str(tmp_path)})
+        harness.run_exact_dist(cfg)
+        assert len(built) == 1
+        assert calls == [[level] for level in range(1, 6)]
+        rows = (tmp_path / "exact_dist.csv").read_text().splitlines()[1:]
+        rates = uniform_rates(5, 0.5)
+        assert rows == [f"9,{level},{joint([9], [level], rates)!r}"
+                        for level in range(1, 6)]
 
     def test_explicit_levels(self, tmp_path):
         cfg = harness.config_from_dict(
