@@ -104,7 +104,8 @@ class FiniteKernel:
         big_q = [int(q * self._b) for q in self.qs]
         self._eq = elementary_symmetric(big_q)
         self._ep = elementary_symmetric([int(p * self._d) for p in self.ps])
-        self._prod_one_minus_q = prod(self._b - q for q in big_q)  # B^M times
+        # B^M prod_i(1 - q_i)
+        self._prod_one_minus_q = prod(self._b - q for q in big_q)
         self._bpow, self._dpow = [1, self._b], [1, self._d]
         self._psi1_cache = {}
         self._psi2_cache = {}
@@ -129,7 +130,8 @@ class FiniteKernel:
             for b, eb in enumerate(self._ep):
                 c = x + b
                 if 0 <= c <= horizon:
-                    total += (-1) ** b * eb * dpow[self.m - b] * comb(horizon, c)
+                    total += ((-1) ** b * eb * dpow[self.m - b]
+                              * comb(horizon, c))
             self._psi2_cache[key] = total
         return self._psi2_cache[key]
 

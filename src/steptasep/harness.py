@@ -147,7 +147,7 @@ def config_from_dict(data):
         if value is not None:
             try:
                 kwargs[key] = _CASTS[key](value)
-            except ValueError as err:
+            except (ValueError, OverflowError) as err:
                 raise ValueError(f"config field {key!r}: {err}") from None
     if "mode" not in kwargs:
         raise ValueError("config must carry a mode")

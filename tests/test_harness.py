@@ -52,7 +52,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("levels", [2.9]), ("times", [6.7]), ("m", 2.5), ("horizon", 10.5),
-        ("n_samples", 3.5), ("master_seed", 1.5), ("defects", [1, 1.5])])
+        ("n_samples", 3.5), ("master_seed", 1.5), ("defects", [1, 1.5]),
+        ("m", float("inf")), ("levels", [float("nan")])])
     def test_non_integral_integer_fields_rejected(self, field, value):
         # int() would truncate 2.9 to 2 and run the wrong experiment
         with pytest.raises(ValueError, match=field):
