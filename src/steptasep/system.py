@@ -11,6 +11,14 @@ shape; the all-particle trajectory and the ensemble sampler both drive it.
 Its independent route is `combinatorics.trajectory_from_matrix`, the same
 dynamics read off a 01 matrix, and the two are tested to agree.
 
+Sample k draws its stay bits from its own counter-based Philox stream keyed
+(master_seed, k), one 64-bit word per particle and step, row-major in time.
+A word is compared with the integer threshold of its rate, which gives the
+same bit as Generator(Philox).random() < q (see `_thresholds`), so the
+samples are those of the uniform route. The words are drawn in blocks of
+TIME_BLOCK steps that the dynamics consume as they go, so the memory of a
+run does not grow with its horizon.
+
 The module also carries the deterministic mean-position law: the limit of
 L(uM, M)/M is 0 up to u = 1/(1-q), follows a square-root curve A2(u) in the
 bulk, and for a slow front particle (qbar > q) switches at u_c to the linear
@@ -19,13 +27,19 @@ branch A_G(u) dragged by the defect.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-# Largest transient float64 uniform block, in bytes: a chunk of samples is
-# sized to stay near it, and a single sample that exceeds it is refused.
+# Memory budget in bytes. A batch of samples is sized so that its raw words
+# for one time block, 8 bytes per sample, step and particle, stay near it;
+# a positions_trajectory whose (horizon+1) x M int64 output exceeds it is
+# refused.
 UNIFORM_BLOCK_BYTES = 2e8
+
+# Steps of stay bits drawn at a time.
+TIME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -46,9 +60,6 @@ class SystemSpec:
             raise ValueError("stay rates must lie in [0, 1)")
         if self.horizon < 0:
             raise ValueError("horizon must be non-negative")
-
-    def rate_array(self):
-        return np.asarray(self.rates, dtype=float)
 
 
 def uniform_rates(m, q):
@@ -73,16 +84,19 @@ def _initial_sites(m):
     return np.arange(m - 1, -1, -1, dtype=np.int64)
 
 
-def _evolve(stay):
+def _evolve(stay, pos=None):
     """The update rule, shared by every simulation path.
 
     stay has shape (..., T, M); stay[..., t, j] is the stay indicator of
-    particle j+1 at the step from t to t+1. Blocking uses the pre-step
-    configuration. Yields the (..., M) sites after each of the T steps; the
-    yielded array is updated in place by the next step.
+    particle j+1 at the step from t to t+1. pos is the (..., M)
+    configuration before the first step, step initial data by default.
+    Blocking uses the pre-step configuration. Yields the (..., M) sites
+    after each of the T steps; the yielded array, pos itself when given, is
+    updated in place by the next step.
     """
     m = stay.shape[-1]
-    pos = np.broadcast_to(_initial_sites(m), stay.shape[:-2] + (m,)).copy()
+    if pos is None:
+        pos = np.broadcast_to(_initial_sites(m), stay.shape[:-2] + (m,)).copy()
     for t in range(stay.shape[-2]):
         move = ~stay[..., t, :]
         move[..., 1:] &= (pos[..., :-1] - pos[..., 1:]) > 1
@@ -91,22 +105,59 @@ def _evolve(stay):
 
 
 def adaptive_chunk(horizon, m):
-    """Sample block size keeping the transient uniform block near
-    UNIFORM_BLOCK_BYTES."""
-    cells = max(1, horizon * m * 8)
+    """Sample batch size keeping a batch's raw words for one time block
+    near UNIFORM_BLOCK_BYTES."""
+    cells = max(1, min(horizon, TIME_BLOCK) * m * 8)
     return max(1, min(64, int(UNIFORM_BLOCK_BYTES / cells)))
 
 
-def _sample_uniforms(m, horizon, master_seed, index):
-    """The uniform block of sample `index`: an independent counter-based
-    substream keyed by (master_seed, index), so results do not depend on
-    how samples are grouped into chunks."""
-    if horizon * m * 8 > UNIFORM_BLOCK_BYTES:
-        raise ValueError(
-            f"one sample needs a {horizon} x {m} float64 uniform block, "
-            f"above the {UNIFORM_BLOCK_BYTES / 1e6:.0f} MB budget")
-    gen = np.random.Generator(np.random.Philox(key=[master_seed, index]))
-    return gen.random((horizon, m))
+def _thresholds(rates):
+    """uint64 thresholds c_i with raw < c_i iff the double that
+    Generator.random makes of the word, (raw >> 11) * 2**-53, is below q_i.
+
+    That double is below q iff raw >> 11 < ceil(q * 2**53), and the scaling
+    and ceiling are exact in float64. For q < 1 the shifted threshold is at
+    most 2**64 - 2**11, so it fits.
+    """
+    top = np.ceil(np.asarray(rates, dtype=float) * 2.0 ** 53)
+    return top.astype(np.uint64) << np.uint64(11)
+
+
+def _trajectories(rates, horizon, master_seed, indices):
+    """Sites of the samples `indices` after each step 1..horizon.
+
+    Sample k reads its stay bits from the Philox stream keyed
+    (master_seed, k), so results do not depend on how samples are grouped
+    into batches. Yields (t, pos) with pos of shape (len(indices), M),
+    updated in place by the next step.
+    """
+    m = len(rates)
+    thresholds = _thresholds(rates)
+    # a uint64 key: numpy reads a list holding a word >= 2**63 as float64
+    streams = [np.random.Philox(key=np.array([master_seed, k], np.uint64))
+               for k in indices]
+    stay = np.empty((len(streams), min(horizon, TIME_BLOCK), m), dtype=bool)
+    pos = np.broadcast_to(_initial_sites(m), (len(streams), m)).copy()
+    for start in range(0, horizon, TIME_BLOCK):
+        block = stay[:, :min(TIME_BLOCK, horizon - start)]
+        for bits, stream in zip(block, streams):
+            np.less(stream.random_raw(bits.shape), thresholds, out=bits)
+        yield from enumerate(_evolve(block, pos), start + 1)
+
+
+def _checked_int(value, name, low, high=None):
+    """value as an int in low..high (no upper end when high is None), or a
+    ValueError that names it."""
+    try:
+        checked = operator.index(value)
+    except TypeError:
+        checked = None
+    if checked is None or checked < low or (high is not None
+                                            and checked > high):
+        raise ValueError(f"{name} must be an integer in "
+                         f"{low}..{'' if high is None else high}, "
+                         f"got {value!r}")
+    return checked
 
 
 def positions_trajectory(spec, seed):
@@ -116,20 +167,16 @@ def positions_trajectory(spec, seed):
     site of particle j+1. Uses the substream of sample index 0, so the
     tagged column agrees with row 0 of sample_ensemble at every time.
     """
-    stay = _sample_uniforms(spec.m, spec.horizon, seed, 0) < spec.rate_array()
+    _checked_int(seed, "master_seed", 0, 2 ** 64 - 1)
+    if (spec.horizon + 1) * spec.m * 8 > UNIFORM_BLOCK_BYTES:
+        raise ValueError(
+            f"a {spec.horizon + 1} x {spec.m} int64 trajectory is above "
+            f"the {UNIFORM_BLOCK_BYTES / 1e6:.0f} MB budget")
     out = np.empty((spec.horizon + 1, spec.m), dtype=np.int64)
     out[0] = _initial_sites(spec.m)
-    for t, pos in enumerate(_evolve(stay), 1):
-        out[t] = pos
+    for t, pos in _trajectories(spec.rates, spec.horizon, seed, [0]):
+        out[t] = pos[0]
     return out
-
-
-def _check_times(spec, times):
-    for t in times:
-        if t < 0:
-            raise ValueError("times must be non-negative")
-        if t > spec.horizon:
-            raise ValueError(f"time {t} exceeds horizon {spec.horizon}")
 
 
 def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=None):
@@ -140,14 +187,14 @@ def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=None):
     give bit-identical output. The default chunk size is adaptive_chunk of
     the last time.
     """
-    times = [int(t) for t in times]
-    _check_times(spec, times)
+    times = [_checked_int(t, "time", 0, spec.horizon) for t in times]
+    _checked_int(master_seed, "master_seed", 0, 2 ** 64 - 1)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     horizon = max(times, default=0)
-    rates = spec.rate_array()
     if chunk_size is None:
         chunk_size = adaptive_chunk(horizon, spec.m)
+    chunk_size = _checked_int(chunk_size, "chunk_size", 1)
 
     by_time = {}
     for col, t in enumerate(times):
@@ -156,11 +203,8 @@ def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=None):
     out = np.zeros((n_samples, len(times)), dtype=np.int64)
     for lo in range(0, n_samples, chunk_size):
         hi = min(lo + chunk_size, n_samples)
-        stay = np.stack(
-            [_sample_uniforms(spec.m, horizon, master_seed, k)
-             for k in range(lo, hi)]
-        ) < rates
-        for t, pos in enumerate(_evolve(stay), 1):
+        for t, pos in _trajectories(spec.rates, horizon, master_seed,
+                                    range(lo, hi)):
             for col in by_time.get(t, []):
                 out[lo:hi, col] = pos[:, -1]
     return out

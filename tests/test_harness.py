@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from steptasep import harness
+from steptasep import harness, system
 from steptasep.finite_kernel import FiniteKernel, joint_probability
 from steptasep.system import uniform_rates
 
@@ -113,7 +113,10 @@ class TestAdaptiveChunk:
     def test_bounds(self):
         assert harness.adaptive_chunk(10, 10) == 64
         assert harness.adaptive_chunk(3000, 100) == 64
-        assert harness.adaptive_chunk(100000, 1000) == 1
+        # the budget counts one time block, so long horizons keep the cap
+        assert harness.adaptive_chunk(100000, 1000) == 64
+        assert harness.adaptive_chunk(100000, 100000) == 3
+        assert harness.adaptive_chunk(10, 100000) == 25
         assert harness.adaptive_chunk(0, 0) == 64
 
 
@@ -211,11 +214,21 @@ class TestSimulateRunner:
             harness.run_simulate(cfg)
         harness.run_simulate(self._config(tmp_path / "ok", defects=[1], **over))
 
-    def test_horizon_beyond_memory_budget_rejected(self, tmp_path):
-        # u = 1e6 maps to t = 10^8: 80 GB of uniforms for a single sample
-        cfg = self._config(tmp_path / "run", m=100, u=1e6)
-        with pytest.raises(ValueError, match="budget"):
-            harness.run_simulate(cfg)
+    def test_horizon_beyond_whole_block_budget_runs(self, tmp_path,
+                                                    monkeypatch):
+        # t = 80 steps of 40 particles is more raw words than the patched
+        # budget holds; the sampler streams them in time blocks and
+        # writes the same files
+        cfg = self._config(tmp_path / "run")
+        harness.run_simulate(cfg)
+        first = {name: (tmp_path / "run" / name).read_bytes()
+                 for name in ("samples.csv", "distribution.csv",
+                              "report.json")}
+        monkeypatch.setattr(system, "UNIFORM_BLOCK_BYTES",
+                            system.TIME_BLOCK * 40 * 8)
+        harness.run_simulate(cfg)
+        for name, blob in first.items():
+            assert (tmp_path / "run" / name).read_bytes() == blob
 
     def test_defect_region_needs_its_time_ratio(self, tmp_path):
         cfg = self._config(tmp_path / "run", region="R4", qbar=0.2, u=None)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import trajectory_from_uniforms
 from steptasep import combinatorics as comb
@@ -77,12 +79,17 @@ class TestAgainstMatrixPicture:
                     )
                     assert list(got) == want, bits
 
-    def test_ensemble_matches_matrix_route(self):
+    @pytest.mark.parametrize("times", [
+        [0, 3, 4, 9, 17, 18],
+        # past three time blocks, reported on both sides of a block edge
+        [sy.TIME_BLOCK - 1, sy.TIME_BLOCK, sy.TIME_BLOCK + 1,
+         3 * sy.TIME_BLOCK + 7],
+    ])
+    def test_ensemble_matches_matrix_route(self, times):
         # sample k's stay bits, read as a 01 matrix: particle j consumes
         # entry (r, M-j) at the step from r+j-1 to r+j
         rates = (0.3, 0.6, 0.2, 0.5, 0.4)
         m, seed = len(rates), 31
-        times = [0, 3, 4, 9, 17, 18]
         horizon = max(times)
         spec = sy.SystemSpec(m=m, rates=rates, horizon=horizon)
         n_rows = horizon - m + 1
@@ -158,23 +165,28 @@ class TestEnsemble:
         )
 
     def test_default_chunk_respects_uniform_budget(self, monkeypatch):
-        # a budget that holds two samples' uniform blocks must cap every
-        # batch at two, however many samples are asked for
-        spec = spec_uniform(5, 0.3, 30)
-        monkeypatch.setattr(sy, "UNIFORM_BLOCK_BYTES", 2 * 30 * 5 * 8)
-        batches = []
+        # a budget that holds two samples' blocks of raw words caps every
+        # batch at two and every block at TIME_BLOCK steps, however long
+        # the horizon and however many samples are asked for
+        m, horizon = 5, 3 * sy.TIME_BLOCK + 7
+        spec = spec_uniform(m, 0.3, horizon)
+        budget = 2 * sy.TIME_BLOCK * m * 8
+        monkeypatch.setattr(sy, "UNIFORM_BLOCK_BYTES", budget)
+        blocks = []
         evolve = sy._evolve
 
-        def spy(stay):
-            batches.append(stay.shape[0])
-            return evolve(stay)
+        def spy(stay, pos=None):
+            blocks.append(stay.shape)
+            return evolve(stay, pos)
 
         monkeypatch.setattr(sy, "_evolve", spy)
-        got = sy.sample_ensemble(spec, [7, 30], 5, master_seed=42)
-        assert batches == [2, 2, 1]
+        got = sy.sample_ensemble(spec, [7, horizon], 5, master_seed=42)
+        assert [shape[0] for shape in blocks] == [2] * 8 + [1] * 4
+        assert all(np.prod(shape) * 8 <= budget for shape in blocks)
+        assert sum(shape[1] for shape in blocks[:4]) == horizon
         monkeypatch.setattr(sy, "_evolve", evolve)
         assert np.array_equal(
-            got, sy.sample_ensemble(spec, [7, 30], 5, 42, chunk_size=5))
+            got, sy.sample_ensemble(spec, [7, horizon], 5, 42, chunk_size=5))
 
     def test_times_validated(self):
         spec = spec_uniform(3, 0.2, 10)
@@ -182,14 +194,62 @@ class TestEnsemble:
             sy.sample_ensemble(spec, [11], 1, master_seed=0)
         with pytest.raises(ValueError):
             sy.sample_ensemble(spec, [-1], 5, master_seed=0)
+        for times in ([10.7], [np.float64(3.0)], ["3"]):
+            with pytest.raises(ValueError, match="time"):
+                sy.sample_ensemble(spec, times, 2, master_seed=0)
+        assert np.array_equal(sy.sample_ensemble(spec, [np.int64(9)], 4, 0),
+                              sy.sample_ensemble(spec, [9], 4, 0))
+
+    @pytest.mark.parametrize("chunk_size", [-2, 0, 2.5])
+    def test_chunk_size_validated(self, chunk_size):
+        spec = spec_uniform(3, 0.2, 10)
+        with pytest.raises(ValueError, match="chunk_size"):
+            sy.sample_ensemble(spec, [10], 4, 0, chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    def test_seed_validated(self, seed):
+        spec = spec_uniform(3, 0.2, 10)
+        with pytest.raises(ValueError, match="seed"):
+            sy.sample_ensemble(spec, [10], 4, seed)
+        with pytest.raises(ValueError, match="seed"):
+            sy.positions_trajectory(spec, seed)
+
+    def test_seeds_past_two_to_the_63_keep_their_own_streams(self):
+        # a Philox key given as a list holding such a seed goes through
+        # float64: 2**63 + 1 met 2**63, and 2**64 - 1 met seed 0
+        spec = spec_uniform(3, 0.2, 10)
+        seeds = (0, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)
+        draws = {tuple(sy.sample_ensemble(spec, [10], 20, s)[:, 0])
+                 for s in seeds}
+        assert len(draws) == len(seeds)
 
     def test_block_beyond_memory_budget_rejected(self):
-        # 250001 x 100 float64 uniforms is just over the 200 MB budget
+        # the (horizon+1) x M int64 trajectory of 250001 steps of 100
+        # particles is just over the 200 MB budget
         spec = spec_uniform(100, 0.1, 250001)
         with pytest.raises(ValueError, match="budget"):
-            sy.sample_ensemble(spec, [250001], 1, master_seed=0)
-        with pytest.raises(ValueError, match="budget"):
             sy.positions_trajectory(spec, 0)
+
+    def test_ensemble_memory_independent_of_horizon(self, monkeypatch):
+        # one sample's whole-horizon block is 20 times the budget: the
+        # ensemble streams it in blocks, the full trajectory is refused
+        m, horizon = 4, 20 * sy.TIME_BLOCK
+        spec = spec_uniform(m, 0.2, horizon)
+        want = sy.sample_ensemble(spec, [horizon], 3, master_seed=5)
+        monkeypatch.setattr(sy, "UNIFORM_BLOCK_BYTES", sy.TIME_BLOCK * m * 8)
+        assert np.array_equal(
+            sy.sample_ensemble(spec, [horizon], 3, master_seed=5), want)
+        with pytest.raises(ValueError, match="budget"):
+            sy.positions_trajectory(spec, 5)
+
+    def test_row_zero_is_tagged_column_of_trajectory(self):
+        horizon = 2 * sy.TIME_BLOCK + 3
+        spec = sy.SystemSpec(m=6, rates=sy.defect_rates(6, 0.2, {1: 0.5}),
+                             horizon=horizon)
+        times = list(range(horizon + 1))
+        ens = sy.sample_ensemble(spec, times, 3, master_seed=77, chunk_size=2)
+        path = sy.positions_trajectory(spec, 77)
+        assert ens[0].tolist() == path[:, -1].tolist()
 
     def test_tagged_cannot_move_before_its_turn(self):
         spec = spec_uniform(6, 0.2, 8)
@@ -197,6 +257,39 @@ class TestEnsemble:
         assert np.all(ens[:, 0] == 0)  # t < M
         assert np.all(ens[:, 1] == 0)
         assert np.all(ens[:, 2] <= 1)
+
+
+class TestRawThresholds:
+    """Stay bits from raw Philox words against integer thresholds equal
+    Generator(Philox).random() < q bit for bit."""
+
+    EDGE_RATES = [0.0, 2.0 ** -60, 0.1, 0.5, 1 - 2.0 ** -53]
+
+    @staticmethod
+    def assert_same_bits(rates, key, steps=200):
+        shape = (steps, len(rates))
+        key = np.array(key, dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(
+            shape) < np.asarray(rates)
+        raw = np.random.Philox(key=key).random_raw(shape)
+        assert np.array_equal(raw < sy._thresholds(rates), want)
+        # the words on either side of each threshold, read as doubles
+        # the way Generator.random does
+        for q, c in zip(rates, sy._thresholds(rates).tolist()):
+            for word in (max(c - 1, 0), c):
+                assert (word < c) == ((word >> 11) * 2.0 ** -53 < q)
+
+    def test_edge_rates(self):
+        self.assert_same_bits(self.EDGE_RATES, [3, 1])
+        for q in self.EDGE_RATES:
+            self.assert_same_bits([q], [3, 2])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                    max_size=6),
+           st.integers(0, 2 ** 64 - 1))
+    def test_drawn_rates(self, rates, seed):
+        self.assert_same_bits(rates, [seed, 0], steps=40)
 
 
 class TestMeanLaw:

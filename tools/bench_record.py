@@ -10,7 +10,9 @@ BENCHMARK.json declares; the side that runs first alternates from pair to
 pair, and pair i uses seed 801 + i on both sides.  The output file holds,
 per workload and side, every run's end-to-end metrics, their median and
 quartiles, the failed operation count, and the `src/` line count and
-machine facts that run.py reports.
+machine facts that run.py reports; and per workload and metric, how many
+pairs each side won in the direction BENCHMARK.json calls `better` (ties
+count for neither).
 Standard library only.
 """
 
@@ -61,6 +63,23 @@ def summarize(runs, names):
     return out
 
 
+def pairs_won(runs, metrics):
+    """Per metric, the pairs in which each side read better; run i of
+    each side forms pair i."""
+    won = {}
+    for metric in metrics:
+        name, sign = metric["name"], (1 if metric["better"] == "higher"
+                                      else -1)
+        count = {"change": 0, "parent": 0}
+        for p, c in zip(runs["parent"], runs["change"]):
+            diff = sign * (c["metrics"][name]["value"]
+                           - p["metrics"][name]["value"])
+            if diff:
+                count["change" if diff > 0 else "parent"] += 1
+        won[name] = count
+    return won
+
+
 def main(argv=None):
     args = parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -82,6 +101,8 @@ def main(argv=None):
                     for n in names), file=sys.stderr)
         record["workloads"][workload] = {
             side: summarize(runs[side], names) for side in sides}
+        record["workloads"][workload]["pairs_won"] = pairs_won(
+            runs, bench["end_to_end"])
     record["machine"] = {k: v for k, v in runs["change"][0]["facts"].items()
                          if k not in ("seed", "src_lines")}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
