@@ -10,6 +10,13 @@ cross-check-only routes (Schur polynomials by Jacobi-Trudi and by SSYT
 enumeration, Schur weights of growth sequences, the enumerated growth law,
 the geometric-entry variant) live with the tests (tests/oracles.py).
 
+The three row-recursive routines (the tagged dynamics, the left-down DP and
+dual RSK) are each a fold of one row step, and normal RSK of the reversed
+column word is a fold over the rows bottom-up. walk_row_prefixes enumerates
+the matrices of one size depth-first over row prefixes, so matrices that
+share their first k rows share the state after them and each tree node does
+one row of work; the exhaustive identity suite runs on it.
+
 Conventions. A matrix is a tuple of N row-tuples of length M with entries in
 {0, 1}. Column c (0-based) carries the stay indicators of particle M - c
 (1-based label), i.e. entry (i, M+1-j) is 1 with probability q_j. Entry 1
@@ -18,6 +25,7 @@ means "stay", entry 0 means "try to hop".
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -63,12 +71,30 @@ def matrix_probability(bits, rates):
     return prob
 
 
+def _tagged_row(sites, row):
+    """Sites of particles 1..M after each has read one more matrix row.
+
+    Particle j reads column M-j of row r at the step from time r+j-1 to
+    r+j, once particle j-1 has read row r: it moves iff the entry is 0 and
+    particle j-1, already past that row, is not on the next site.
+    """
+    new = []
+    for j, site in enumerate(sites):
+        if not row[-1 - j] and (j == 0 or new[j - 1] != site + 1):
+            site += 1
+        new.append(site)
+    return new
+
+
 def trajectory_from_matrix(bits):
     """Evolve the step initial condition through a 01 matrix.
 
     Particle j reads entry (i, M+1-j) at the step from time i+j-2 to i+j-1;
-    a blocked particle stays regardless of the entry. Rows beyond N never
-    influence the tagged particle up to time N+M-1.
+    a blocked particle stays regardless of the entry. Before its first row
+    particle j is blocked by particle j-1, which has not moved yet, and rows
+    beyond N never influence the tagged particle up to time N+M-1. So the
+    dynamics is a row recursion (`_tagged_row`), and the tagged particle
+    is at the origin until time M.
 
     Returns
     -------
@@ -80,17 +106,11 @@ def trajectory_from_matrix(bits):
     n_cols = len(bits[0]) if n_rows else 0
     if n_cols == 0:
         raise ValueError("matrix must have at least one column")
-    pos = [n_cols - j for j in range(1, n_cols + 1)]
-    path = [0]
-    for t in range(n_rows + n_cols - 1):
-        front = pos[:]
-        for j in range(1, n_cols + 1):
-            r = t - j + 1
-            stay = bits[r][n_cols - j] if 0 <= r < n_rows else 0
-            blocked = j > 1 and front[j - 2] == pos[j - 1] + 1
-            if not stay and not blocked:
-                pos[j - 1] += 1
-        path.append(pos[n_cols - 1])
+    sites = list(range(n_cols - 1, -1, -1))
+    path = [0] * n_cols
+    for row in bits:
+        sites = _tagged_row(sites, row)
+        path.append(sites[-1])
     return path, n_rows - path[-1]
 
 
@@ -98,22 +118,25 @@ def trajectory_from_matrix(bits):
 # Left-down last passage
 # ---------------------------------------------------------------------------
 
+def _left_down_row(best, row):
+    """One row of the left-down DP: best[c] is the largest number of
+    1-entries on a path through the rows so far that ends in column c."""
+    new = list(best)
+    suffix = 0
+    for c in range(len(best) - 1, -1, -1):
+        if best[c] > suffix:
+            suffix = best[c]
+        if row[c] and suffix + 1 > new[c]:
+            new[c] = suffix + 1
+    return new
+
+
 def longest_left_down_path(bits):
     """Maximum number of 1-entries on a path with strictly increasing row
     indices and weakly decreasing column indices. O(N*M)."""
-    n_rows = len(bits)
-    n_cols = len(bits[0]) if n_rows else 0
-    best = [0] * n_cols
-    for r in range(n_rows):
-        row = bits[r]
-        new = list(best)
-        suffix = 0
-        for c in range(n_cols - 1, -1, -1):
-            if best[c] > suffix:
-                suffix = best[c]
-            if row[c] and suffix + 1 > new[c]:
-                new[c] = suffix + 1
-        best = new
+    best = [0] * (len(bits[0]) if bits else 0)
+    for row in bits:
+        best = _left_down_row(best, row)
     return max(best, default=0)
 
 
@@ -142,6 +165,13 @@ def _insert(rows, x, find):
     return len(rows) - 1
 
 
+def _dual_row(p_rows, row):
+    """Dual-insert the 1-entries of one matrix row (column c gives c+1)
+    into p_rows, in place; returns the rows where the new cells appear."""
+    return [_insert(p_rows, c + 1, bisect_left)
+            for c, v in enumerate(row) if v]
+
+
 def dual_rsk(bits):
     """Dual RSK of a 01 matrix.
 
@@ -154,18 +184,17 @@ def dual_rsk(bits):
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for i, row in enumerate(bits, start=1):
-        for c, v in enumerate(row):
-            if v:
-                r = _insert(p_rows, c + 1, bisect_left)
-                if r == len(q_rows):
-                    q_rows.append([])
-                q_rows[r].append(i)
+        for r in _dual_row(p_rows, row):
+            if r == len(q_rows):
+                q_rows.append([])
+            q_rows[r].append(i)
     return p_rows, q_rows
 
 
-def normal_rsk(word):
-    """Insertion tableau of the normal RSK algorithm applied to a word."""
-    rows: list[list[int]] = []
+def normal_rsk(word, rows=None):
+    """Insertion tableau of the normal RSK algorithm applied to a word;
+    given rows, the word is inserted into them, in place."""
+    rows = [] if rows is None else rows
     for x in word:
         _insert(rows, x, bisect_right)
     return rows
@@ -178,10 +207,8 @@ def tableau_shape(rows):
 def transpose_tableau(rows):
     if not rows:
         return []
-    return [
-        [rows[r][c] for r in range(len(rows)) if c < len(rows[r])]
-        for c in range(len(rows[0]))
-    ]
+    return [[row[c] for row in rows if c < len(row)]
+            for c in range(len(rows[0]))]
 
 
 def conjugate(shape):
@@ -206,6 +233,91 @@ def first_column_identity(bits):
     path_max = longest_left_down_path(bits)
     symmetric = transpose_tableau(p) == normal_rsk(column_word(bits)[::-1])
     return first_column, path_max, (first_column == path_max and symmetric)
+
+
+# ---------------------------------------------------------------------------
+# Row-prefix enumeration
+# ---------------------------------------------------------------------------
+
+# Stored for a tableau whose code does not fit 64 bits. Tableaux with
+# entries in 1..4 and at most 4 rows and 16 cells have codes below 2**52.
+_NO_CODE = (1 << 64) - 1
+
+
+def walk_row_prefixes(n_rows, n_cols, start, step, bottom_up=False):
+    """Yield (code, state) for every n_rows x n_cols 01 matrix.
+
+    code is the matrix's index in all_matrices (bit r*M + c is entry
+    (r, c)), and state folds step(state, row) over its rows from start,
+    top row first, or bottom row first when bottom_up. step returns a new
+    state and leaves its argument as it was. The walk is depth-first over
+    row prefixes: matrices that share the rows read so far share the state
+    after them, so each tree node costs one step, not one per matrix.
+    """
+    if n_rows * n_cols > ENUMERATION_CELL_LIMIT:
+        raise ValueError(f"{n_rows}x{n_cols} exceeds the enumeration guard")
+    rows = [tuple((v >> c) & 1 for c in range(n_cols))
+            for v in range(1 << n_cols)]
+    shifts = [r * n_cols for r in range(n_rows)]
+    if bottom_up:
+        shifts.reverse()
+
+    def visit(depth, code, state):
+        if depth == n_rows:
+            yield code, state
+            return
+        for v, row in enumerate(rows):
+            yield from visit(depth + 1, code | v << shifts[depth],
+                             step(state, row))
+
+    return visit(0, 0, start)
+
+
+def _chain_row(state, row):
+    sites, best, p_rows = state
+    p_rows = [r[:] for r in p_rows]
+    _dual_row(p_rows, row)
+    return _tagged_row(sites, row), _left_down_row(best, row), p_rows
+
+
+def chain_walk(n_rows, n_cols):
+    """Yield (code, stays, path_max, p) for every n_rows x n_cols matrix:
+    the tagged particle's stay count, the left-down maximum and the dual
+    insertion tableau, all from one top-down walk over row prefixes."""
+    start = (list(range(n_cols - 1, -1, -1)), [0] * n_cols, [])
+    for code, (sites, best, p_rows) in walk_row_prefixes(
+            n_rows, n_cols, start, _chain_row):
+        yield code, n_rows - sites[-1], max(best, default=0), p_rows
+
+
+def tableau_code(rows):
+    """Exact integer code of a tableau with entries in 1..4 and rows of at
+    most 31 cells: row by row, each entry minus 1 in 2 bits, then the row
+    length in 5 bits. Read from the low end, the nonzero lengths tell
+    where each row starts and where the tableau ends."""
+    code = 0
+    for row in rows:
+        for x in row:
+            code = code << 2 | (x - 1)
+        code = code << 5 | len(row)
+    return code
+
+
+def _normal_row(rows, row):
+    """Normal-insert the column indices of one matrix row, right to left,
+    into a copy of rows."""
+    return normal_rsk(column_word((row,))[::-1], [r[:] for r in rows])
+
+
+def normal_tableau_codes(n_rows, n_cols):
+    """array('Q') indexed by matrix code: tableau_code of the normal RSK
+    tableau of the reversed column word, which reads the rows bottom to
+    top, so one bottom-up walk over row prefixes builds them all."""
+    walk = walk_row_prefixes(n_rows, n_cols, [], _normal_row, bottom_up=True)
+    codes = array("Q", [0]) * (1 << (n_rows * n_cols))
+    for code, rows in walk:
+        codes[code] = min(tableau_code(rows), _NO_CODE)
+    return codes
 
 
 # ---------------------------------------------------------------------------

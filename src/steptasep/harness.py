@@ -337,15 +337,19 @@ def _suite_combinatorial():
     """Exhaustive identities on every 01 matrix with up to 4 rows/columns:
     stay count equals the left-down passage maximum, the first column of
     the insertion tableau matches it, and the transposed dual insertion
-    tableau equals the plain insertion tableau of the column word."""
+    tableau equals the plain insertion tableau of the reversed column
+    word. Each size is walked depth-first over row prefixes, top-down for
+    the dynamics, the passage DP and dual RSK, bottom-up for the plain
+    insertion, whose tableaux are kept as codes indexed by matrix."""
     cases = failures = 0
     for n_rows in range(1, 5):
         for n_cols in range(1, 5):
-            for bits in comb.all_matrices(n_rows, n_cols):
+            normal = comb.normal_tableau_codes(n_rows, n_cols)
+            for code, stays, path_max, p in comb.chain_walk(n_rows, n_cols):
                 cases += 1
-                _path, stays = comb.trajectory_from_matrix(bits)
-                _fc, path_max, agree = comb.first_column_identity(bits)
-                if not (agree and stays == path_max):
+                symmetric = comb.tableau_code(
+                    comb.transpose_tableau(p)) == normal[code]
+                if not (symmetric and len(p) == path_max == stays):
                     failures += 1
     return failures == 0 and cases >= 65536, {
         "cases": cases, "failures": failures}

@@ -27,6 +27,8 @@ branch A_G(u) dragged by the defect.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -51,15 +53,15 @@ class SystemSpec:
     horizon: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m",
+                           _checked_int(self.m, "m", 1, integral=True))
+        object.__setattr__(self, "horizon", _checked_int(
+            self.horizon, "horizon", 0, integral=True))
         object.__setattr__(self, "rates", tuple(float(q) for q in self.rates))
-        if self.m < 1:
-            raise ValueError("need at least one particle")
         if len(self.rates) != self.m:
             raise ValueError(f"need {self.m} rates, got {len(self.rates)}")
         if any(not (0.0 <= q < 1.0) for q in self.rates):
             raise ValueError("stay rates must lie in [0, 1)")
-        if self.horizon < 0:
-            raise ValueError("horizon must be non-negative")
 
 
 def uniform_rates(m, q):
@@ -145,13 +147,18 @@ def _trajectories(rates, horizon, master_seed, indices):
         yield from enumerate(_evolve(block, pos), start + 1)
 
 
-def _checked_int(value, name, low, high=None):
+def _checked_int(value, name, low, high=None, integral=False):
     """value as an int in low..high (no upper end when high is None), or a
-    ValueError that names it."""
+    ValueError that names it. With integral, a number of another type
+    that is a whole number, such as 3.0, counts as that int, as in a
+    config field."""
     try:
         checked = operator.index(value)
     except TypeError:
         checked = None
+        if (integral and isinstance(value, numbers.Real)
+                and math.isfinite(value) and value == int(value)):
+            checked = int(value)
     if checked is None or checked < low or (high is not None
                                             and checked > high):
         raise ValueError(f"{name} must be an integer in "
@@ -189,8 +196,7 @@ def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=None):
     """
     times = [_checked_int(t, "time", 0, spec.horizon) for t in times]
     _checked_int(master_seed, "master_seed", 0, 2 ** 64 - 1)
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    _checked_int(n_samples, "n_samples", 1)
     horizon = max(times, default=0)
     if chunk_size is None:
         chunk_size = adaptive_chunk(horizon, spec.m)

@@ -19,6 +19,7 @@ accuracy.
 
 import itertools
 import time
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,26 @@ class TestExhaustiveCombinatorialIdentities:
         assert details["cases"] >= 65536
         assert details["failures"] == 0 and ok
         assert elapsed < 60.0
+
+    def test_suite_fails_without_the_blocking_rule(self, monkeypatch):
+        def unblocked(sites, row):
+            return [site + (not row[-1 - j]) for j, site in enumerate(sites)]
+
+        monkeypatch.setattr(harness.comb, "_tagged_row", unblocked)
+        ok, details = harness._suite_combinatorial()
+        assert details["cases"] == 74954
+        assert details["failures"] > 0 and not ok
+
+    # bisect_left makes the plain insertion dual; always bumping the first
+    # entry gives one-column tableaux whose codes do not fit 64 bits
+    @pytest.mark.parametrize("find", [bisect_left, lambda row, x: 0],
+                             ids=["dual", "first-entry"])
+    def test_suite_fails_with_a_broken_normal_insertion(self, monkeypatch,
+                                                        find):
+        monkeypatch.setattr(harness.comb, "bisect_right", find)
+        ok, details = harness._suite_combinatorial()
+        assert details["cases"] == 74954
+        assert details["failures"] > 0 and not ok
 
 
 class TestGrowthLawIsSchurMeasure:

@@ -4,6 +4,7 @@ The worked 6x4 matrix pins every correspondence in one place; the exhaustive
 loops then prove the identities for all small sizes.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -252,6 +253,91 @@ class TestGeometricModel:
         matrix = np.array([[2, 0], [1, 3]])
         assert oracles.last_passage_sum(matrix) == 2 + 1 + 3
         assert oracles.arrival_time(matrix) == 6 + 2 + 2 - 1
+
+
+def matrix_code(bits):
+    """Index of a matrix in all_matrices: bit r*M + c is entry (r, c)."""
+    n_cols = len(bits[0])
+    return sum(v << (r * n_cols + c)
+               for r, row in enumerate(bits) for c, v in enumerate(row))
+
+
+@functools.lru_cache(maxsize=None)
+def chain_by_code(n_rows, n_cols):
+    """The top-down walk's (stays, path_max, p) and the bottom-up walk's
+    normal-tableau code, per matrix code."""
+    normal = comb.normal_tableau_codes(n_rows, n_cols)
+    return {code: (stays, path_max, p, normal[code])
+            for code, stays, path_max, p in comb.chain_walk(n_rows, n_cols)}
+
+
+def assert_walk_agrees(bits):
+    stays, path_max, p, normal = chain_by_code(len(bits), len(bits[0]))[
+        matrix_code(bits)]
+    want_p, _q = comb.dual_rsk(bits)
+    assert p == want_p
+    assert stays == comb.trajectory_from_matrix(bits)[1]
+    assert path_max == comb.longest_left_down_path(bits)
+    assert len(p) == comb.first_column_identity(bits)[0]
+    assert comb.transpose_tableau(p) == comb.transpose_tableau(want_p)
+    assert normal == comb.tableau_code(
+        comb.normal_rsk(comb.column_word(bits)[::-1]))
+
+
+class TestRowPrefixWalk:
+    def test_each_code_visited_once_with_its_rows(self):
+        # the state is the tuple of rows read, in reading order
+        def read(state, row):
+            return state + (row,)
+
+        for n_rows in range(1, 5):
+            for n_cols in range(1, 5):
+                everything = list(comb.all_matrices(n_rows, n_cols))
+                for bottom_up in (False, True):
+                    walk = list(comb.walk_row_prefixes(
+                        n_rows, n_cols, (), read, bottom_up))
+                    assert sorted(code for code, _ in walk) == \
+                        list(range(1 << (n_rows * n_cols)))
+                    for code, rows in walk:
+                        want = everything[code]
+                        assert rows == (want[::-1] if bottom_up else want)
+                codes = [c for c, *_ in comb.chain_walk(n_rows, n_cols)]
+                assert sorted(codes) == list(range(len(everything)))
+
+    def test_walk_agrees_with_scalar_routines_to_three_by_three(self):
+        for n_rows in range(1, 4):
+            for n_cols in range(1, 4):
+                for bits in comb.all_matrices(n_rows, n_cols):
+                    assert_walk_agrees(bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=16, max_size=16))
+    def test_walk_agrees_with_scalar_routines_at_four_by_four(self, cells):
+        assert_walk_agrees(tuple(tuple(cells[4 * r:4 * r + 4])
+                                 for r in range(4)))
+
+    def test_normal_tableaux_of_the_bottom_up_walk(self):
+        for n_rows in range(1, 4):
+            for n_cols in range(1, 4):
+                everything = list(comb.all_matrices(n_rows, n_cols))
+                for code, rows in comb.walk_row_prefixes(
+                        n_rows, n_cols, [], comb._normal_row, bottom_up=True):
+                    assert rows == comb.normal_rsk(
+                        comb.column_word(everything[code])[::-1])
+
+    def test_tableau_code_is_exact_at_four_by_four(self):
+        tableaux = {tuple(map(tuple, comb.normal_rsk(
+            comb.column_word(bits)[::-1])))
+            for bits in comb.all_matrices(4, 4)}
+        codes = {comb.tableau_code(t) for t in tableaux}
+        assert len(codes) == len(tableaux)
+        assert max(codes) < 2 ** 52
+
+    def test_enumeration_guard(self):
+        with pytest.raises(ValueError):
+            comb.walk_row_prefixes(5, 5, (), None)
+        with pytest.raises(ValueError):
+            comb.normal_tableau_codes(5, 5)
 
 
 class TestSampling:

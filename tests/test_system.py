@@ -33,6 +33,21 @@ class TestSpecAndInitial:
         with pytest.raises(ValueError):
             sy.SystemSpec(m=1, rates=(0.5,), horizon=-1)
 
+    @pytest.mark.parametrize("field, m, horizon", [
+        ("m", 2.5, 3), ("horizon", 2, 2.5), ("m", "2", 3),
+        ("horizon", 2, float("inf"))])
+    def test_non_integral_sizes_name_their_field(self, field, m, horizon):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            sy.SystemSpec(m=m, rates=(0.2, 0.3), horizon=horizon)
+
+    def test_whole_float_sizes_count_as_ints(self):
+        spec = sy.SystemSpec(m=2.0, rates=(0.2, 0.3), horizon=np.float64(9))
+        assert (spec.m, spec.horizon) == (2, 9)
+        assert type(spec.m) is int and type(spec.horizon) is int
+        plain = sy.SystemSpec(m=2, rates=(0.2, 0.3), horizon=9)
+        assert np.array_equal(sy.sample_ensemble(spec, [9], 5, 3),
+                              sy.sample_ensemble(plain, [9], 5, 3))
+
     def test_defect_rates(self):
         rates = sy.defect_rates(5, 0.1, {1: 0.2, 4: 0.3})
         assert rates == (0.2, 0.1, 0.1, 0.3, 0.1)
@@ -199,6 +214,12 @@ class TestEnsemble:
                 sy.sample_ensemble(spec, times, 2, master_seed=0)
         assert np.array_equal(sy.sample_ensemble(spec, [np.int64(9)], 4, 0),
                               sy.sample_ensemble(spec, [9], 4, 0))
+
+    @pytest.mark.parametrize("n_samples", [2.5, 0, -1, "3"])
+    def test_n_samples_validated(self, n_samples):
+        spec = spec_uniform(3, 0.2, 10)
+        with pytest.raises(ValueError, match="^n_samples must be"):
+            sy.sample_ensemble(spec, [10], n_samples, 0)
 
     @pytest.mark.parametrize("chunk_size", [-2, 0, 2.5])
     def test_chunk_size_validated(self, chunk_size):

@@ -9,8 +9,10 @@ unchanged, with the workloads and run length that the change's
 BENCHMARK.json declares; the side that runs first alternates from pair to
 pair, and pair i uses seed 801 + i on both sides.  The output file holds,
 per workload and side, every run's end-to-end metrics, their median and
-quartiles, the failed operation count, and the `src/` line count and
-machine facts that run.py reports; and per workload and metric, how many
+quartiles, the attempted operation count of every run and its median (a
+run that completes more operations also reads a higher `peak_rss_mb`), the
+failed operation count, and the `src/` line count and machine facts that
+run.py reports; and per workload and metric, how many
 pairs each side won in the direction BENCHMARK.json calls `better` (ties
 count for neither).
 Standard library only.
@@ -51,7 +53,10 @@ def run_once(checkout, workload, seed, seconds):
 
 def summarize(runs, names):
     """Median and quartiles of each metric over the runs of one side."""
-    out = {"failed": [r["failed"] for r in runs],
+    attempted = [r["attempted"] for r in runs]
+    out = {"attempted": attempted,
+           "attempted_median": statistics.median(attempted),
+           "failed": [r["failed"] for r in runs],
            "src_lines": runs[0]["facts"]["src_lines"], "metrics": {}}
     for name in names:
         values = [r["metrics"][name]["value"] for r in runs]
