@@ -7,6 +7,7 @@ loops then prove the identities for all small sizes.
 import functools
 import itertools
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -263,23 +264,31 @@ def matrix_code(bits):
 
 
 @functools.lru_cache(maxsize=None)
-def chain_by_code(n_rows, n_cols):
-    """The top-down walk's (stays, path_max, p) and the bottom-up walk's
-    normal-tableau code, per matrix code."""
-    normal = comb.normal_tableau_codes(n_rows, n_cols)
-    return {code: (stays, path_max, p, normal[code])
-            for code, stays, path_max, p in comb.chain_walk(n_rows, n_cols)}
+def walk_by_code(n_rows, n_cols):
+    """Flat arrays indexed by matrix code: the top-down walk's stay count,
+    left-down maximum, first-column length, and codes of P and of its
+    transpose; then the bottom-up walk's normal-tableau code."""
+    size = 1 << (n_rows * n_cols)
+    out = [array("B", bytes(size)) for _ in range(3)] + \
+        [array("Q", [0]) * size for _ in range(2)]
+    for code, stays, path_max, p in comb.chain_walk(n_rows, n_cols):
+        values = (stays, path_max, len(p), comb.tableau_code(p),
+                  comb.tableau_code(comb.transpose_tableau(p)))
+        for column, value in zip(out, values):
+            column[code] = value
+    return out + [comb.normal_tableau_codes(n_rows, n_cols)]
 
 
 def assert_walk_agrees(bits):
-    stays, path_max, p, normal = chain_by_code(len(bits), len(bits[0]))[
-        matrix_code(bits)]
+    code = matrix_code(bits)
+    stays, path_max, first_col, p, p_t, normal = (
+        column[code] for column in walk_by_code(len(bits), len(bits[0])))
     want_p, _q = comb.dual_rsk(bits)
-    assert p == want_p
     assert stays == comb.trajectory_from_matrix(bits)[1]
     assert path_max == comb.longest_left_down_path(bits)
-    assert len(p) == comb.first_column_identity(bits)[0]
-    assert comb.transpose_tableau(p) == comb.transpose_tableau(want_p)
+    assert first_col == comb.first_column_identity(bits)[0]
+    assert p == comb.tableau_code(want_p)
+    assert p_t == comb.tableau_code(comb.transpose_tableau(want_p))
     assert normal == comb.tableau_code(
         comb.normal_rsk(comb.column_word(bits)[::-1]))
 
