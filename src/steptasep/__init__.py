@@ -15,4 +15,4 @@ Layers, from exact to asymptotic:
 - harness / cli: experiment configs, figure reproduction, KS comparison.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -20,7 +20,9 @@ T = t - M + 1,
     Psi1(x, t) is an integer over D^max(x - T, 0) B^(M + max(T - 1, 0)),
 and a running sum along a diagonal is an integer over one common
 denominator once each term is scaled to the diagonal's largest power of D.
-The only Fraction built per kernel entry is the finished value.
+The only Fraction built per kernel entry is the finished value, and on
+the float route not even that: the integer division total / den is
+correctly rounded, as float(Fraction(total, den)) is.
 
 The independent routes, Psi1 and Psi2 by their residue formulas in Fraction
 arithmetic, the kernel series summed term by term and direct double-contour
@@ -49,6 +51,7 @@ I - K is assembled: in Fractions with exact=True, in floats otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb, lcm, prod
 
 from .combinatorics import (
@@ -176,9 +179,11 @@ class FiniteKernel:
         """Coefficient of w^(-x) in (1 + 1/w)^(t-M+1) prod_i(1 - p_i w)."""
         return Fraction(self.psi2_numerator(x, t), self._d ** self.m)
 
-    def block(self, t1, xs1, t2, xs2):
+    def block(self, t1, xs1, t2, xs2, exact=True):
         """Kernel entries K(t1, x1; t2, x2) for x1 in xs1 (rows) and x2 in
-        xs2 (columns), by one integer running sum per diagonal; exact."""
+        xs2 (columns), by one integer running sum per diagonal. Each entry
+        is a Fraction, or with exact=False the float of that Fraction,
+        from one correctly rounded integer division."""
         m = self.m
         horizon1, horizon2 = max_level(t1, m), max_level(t2, m)
         forward = t1 >= t2
@@ -211,7 +216,7 @@ class FiniteKernel:
                         total -= (psi1(w + d, t1) * psi2(w, t2)
                                   * dpow[kmax - max(w + d - horizon1, 0)])
                         w += 1
-                out[i][j] = Fraction(total, den)
+                out[i][j] = Fraction(total, den) if exact else total / den
         return out
 
     def entry(self, t1, x1, t2, x2):
@@ -260,5 +265,5 @@ def joint_probability(times, levels, rates, exact=False):
     blocks, impossible = _windows(times, levels, kern)
     if impossible:
         return Fraction(0) if exact else 0.0
-    p = det_discrete(kern.block, blocks, exact)
+    p = det_discrete(partial(kern.block, exact=exact), blocks, exact)
     return p if exact else min(max(p, 0.0), 1.0)

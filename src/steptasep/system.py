@@ -12,12 +12,19 @@ Its independent route is `combinatorics.trajectory_from_matrix`, the same
 dynamics read off a 01 matrix, and the two are tested to agree.
 
 Sample k draws its stay bits from its own counter-based Philox stream keyed
-(master_seed, k), one 64-bit word per particle and step, row-major in time.
-A word is compared with the integer threshold of its rate, which gives the
-same bit as Generator(Philox).random() < q (see `_thresholds`), so the
-samples are those of the uniform route. The words are drawn in blocks of
-TIME_BLOCK steps that the dynamics consume as they go, so the memory of a
-run does not grow with its horizon.
+(master_seed, k): one byte per particle and step, row-major in time, read
+little-endian from the stream's 64-bit words. With c = ceil(q * 2**53), a
+byte below c >> 45 means stay and one above it means move; on a tie (odds
+1/256) the top 45 bits of the next word of a second Philox stream with the
+same key, at the disjoint counter TIE_COUNTER, settle it against
+c mod 2**45. The byte and those 45 bits form a uniform 53-bit U, and the
+rule is exactly U < c, so a particle stays with probability
+ceil(q * 2**53) / 2**53 (see `_thresholds`). The bytes are drawn in blocks
+of TIME_BLOCK steps that the dynamics consume as they go, so the memory of
+a run does not grow with its horizon; since TIME_BLOCK * M is a multiple
+of 8 and the tie words are read in cell order from their own stream, a
+sample's value at time t depends neither on the blocking nor on the
+horizon or the other times asked for.
 
 The module also carries the deterministic mean-position law: the limit of
 L(uM, M)/M is 0 up to u = 1/(1-q), follows a square-root curve A2(u) in the
@@ -34,14 +41,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Memory budget in bytes. A batch of samples is sized so that its raw words
-# for one time block, 8 bytes per sample, step and particle, stay near it;
-# a positions_trajectory whose (horizon+1) x M int64 output exceeds it is
-# refused.
+# Memory budget in bytes. A batch of samples is sized as if one time block
+# of it cost 8 bytes per sample, step and particle; the sampler holds one
+# byte per cell (the stay bits) plus one sample's block of stay bytes at a
+# time, so a batch stays well under it. A positions_trajectory whose
+# (horizon+1) x M int64 output exceeds the budget is refused.
 UNIFORM_BLOCK_BYTES = 2e8
 
-# Steps of stay bits drawn at a time.
+# Work limit of one sample_ensemble call, in cells (horizon x M x samples).
+# At the 5-6 ns a cell costs on a 2-core x86 box this is about two
+# minutes; the largest built-in run, a fig8 panel at t=3000 with 10^4
+# samples of 100 particles, is 3e9 cells.
+MAX_CELLS = 2 * 10 ** 10
+
+# Steps of stay bits drawn at a time; a multiple of 8, so that a block's
+# bytes fill whole words and blocks follow each other in the byte stream.
 TIME_BLOCK = 64
+
+# Philox counter at which a sample's tie words start, far from the 2**192
+# blocks of its byte stream.
+TIE_COUNTER = (0, 0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -107,43 +126,66 @@ def _evolve(stay, pos=None):
 
 
 def adaptive_chunk(horizon, m):
-    """Sample batch size keeping a batch's raw words for one time block
-    near UNIFORM_BLOCK_BYTES."""
+    """Sample batch size keeping a batch's 8-byte charge per cell for one
+    time block near UNIFORM_BLOCK_BYTES."""
     cells = max(1, min(horizon, TIME_BLOCK) * m * 8)
     return max(1, min(64, int(UNIFORM_BLOCK_BYTES / cells)))
 
 
 def _thresholds(rates):
-    """uint64 thresholds c_i with raw < c_i iff the double that
-    Generator.random makes of the word, (raw >> 11) * 2**-53, is below q_i.
+    """Byte thresholds hi (uint8) and tie thresholds (uint64) of the rates.
 
-    That double is below q iff raw >> 11 < ceil(q * 2**53), and the scaling
-    and ceiling are exact in float64. For q < 1 the shifted threshold is at
-    most 2**64 - 2**11, so it fits.
+    With c = ceil(q * 2**53), exact in float64 and below 2**53 for q < 1,
+    hi = c >> 45 and lo = c mod 2**45. A stay byte b and the top 45 bits V
+    of a tie word make U = b * 2**45 + V, uniform on [0, 2**53), and
+    U < c iff b < hi, or b == hi and V < lo. V < lo iff the tie word is
+    below lo * 2**19, the second threshold returned.
     """
-    top = np.ceil(np.asarray(rates, dtype=float) * 2.0 ** 53)
-    return top.astype(np.uint64) << np.uint64(11)
+    c = np.ceil(np.asarray(rates, dtype=float) * 2.0 ** 53).astype(np.uint64)
+    return ((c >> np.uint64(45)).astype(np.uint8),
+            (c & np.uint64(2 ** 45 - 1)) << np.uint64(19))
+
+
+def _stay_bits(stay_bytes, hi, tie_below, tie_stream, out):
+    """Stay bits of one sample's cells, in place into the 1-d bool out.
+
+    stay_bytes holds one byte per cell and hi, tie_below the thresholds of
+    each cell's rate (see `_thresholds`); a byte equal to hi reads the next
+    word of tie_stream, in cell order.
+    """
+    np.less(stay_bytes, hi, out=out)
+    tie = (stay_bytes == hi).nonzero()[0]
+    if tie.size:
+        out[tie] = tie_stream.random_raw(tie.size) < tie_below[tie]
 
 
 def _trajectories(rates, horizon, master_seed, indices):
     """Sites of the samples `indices` after each step 1..horizon.
 
-    Sample k reads its stay bits from the Philox stream keyed
-    (master_seed, k), so results do not depend on how samples are grouped
-    into batches. Yields (t, pos) with pos of shape (len(indices), M),
-    updated in place by the next step.
+    Sample k reads its stay bytes from the Philox stream keyed
+    (master_seed, k), ceil(cells / 8) words per block, and its tie words
+    from the stream with the same key at TIE_COUNTER, so results do not
+    depend on how samples are grouped into batches. Yields (t, pos) with
+    pos of shape (len(indices), M), updated in place by the next step.
     """
     m = len(rates)
-    thresholds = _thresholds(rates)
+    steps = min(horizon, TIME_BLOCK)
+    hi, tie_below = (np.tile(a, steps) for a in _thresholds(rates))
     # a uint64 key: numpy reads a list holding a word >= 2**63 as float64
-    streams = [np.random.Philox(key=np.array([master_seed, k], np.uint64))
-               for k in indices]
-    stay = np.empty((len(streams), min(horizon, TIME_BLOCK), m), dtype=bool)
-    pos = np.broadcast_to(_initial_sites(m), (len(streams), m)).copy()
+    keys = [np.array([master_seed, k], np.uint64) for k in indices]
+    streams = [(np.random.Philox(key=key),
+                np.random.Philox(key=key, counter=TIE_COUNTER))
+               for key in keys]
+    stay = np.empty((len(keys), steps, m), dtype=bool)
+    pos = np.broadcast_to(_initial_sites(m), (len(keys), m)).copy()
     for start in range(0, horizon, TIME_BLOCK):
         block = stay[:, :min(TIME_BLOCK, horizon - start)]
-        for bits, stream in zip(block, streams):
-            np.less(stream.random_raw(bits.shape), thresholds, out=bits)
+        cells = block[0].size
+        for bits, (stream, tie_stream) in zip(block, streams):
+            words = stream.random_raw(-(-cells // 8))
+            stay_bytes = words.astype("<u8", copy=False).view(np.uint8)
+            _stay_bits(stay_bytes[:cells], hi[:cells], tie_below[:cells],
+                       tie_stream, bits.reshape(-1))
         yield from enumerate(_evolve(block, pos), start + 1)
 
 
@@ -191,13 +233,23 @@ def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=None):
 
     Returns an (n_samples, len(times)) integer array. Sample k is driven by
     the substream keyed (master_seed, k); reruns and different chunk sizes
-    give bit-identical output. The default chunk size is adaptive_chunk of
-    the last time.
+    give bit-identical output, and a sample's value at a time does not
+    depend on the other times asked for. The default chunk size is
+    adaptive_chunk of the last time.
+
+    A run of more than MAX_CELLS = 2e10 cells (last time x M x n_samples,
+    about two minutes of sampling on a 2-core x86 box) raises a ValueError
+    before any draw.
     """
     times = [_checked_int(t, "time", 0, spec.horizon) for t in times]
     _checked_int(master_seed, "master_seed", 0, 2 ** 64 - 1)
-    _checked_int(n_samples, "n_samples", 1)
+    n_samples = _checked_int(n_samples, "n_samples", 1)
     horizon = max(times, default=0)
+    cells = horizon * spec.m * n_samples
+    if cells > MAX_CELLS:
+        raise ValueError(f"{cells} cells ({horizon} steps x {spec.m} "
+                         f"particles x {n_samples} samples) is above the "
+                         f"limit of {MAX_CELLS} cells")
     if chunk_size is None:
         chunk_size = adaptive_chunk(horizon, spec.m)
     chunk_size = _checked_int(chunk_size, "chunk_size", 1)

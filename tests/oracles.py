@@ -7,7 +7,9 @@
   enumeration over all 01 matrices, and the geometric-entry variant of the
   last-passage identity.
 - Dynamics: the tagged distance driven by a given uniform block, through the
-  package's one update rule.
+  package's one update rule; and a sample's stay bits read one cell at a
+  time from its Philox streams, by the byte-and-tie rule in Python
+  integers.
 - Finite kernel: the free transition weight phi, Psi1 and Psi2 by their
   residue formulas in Fraction arithmetic (the reference for the package's
   integer numerators), the kernel entry as the direct Psi1*Psi2 series of
@@ -258,6 +260,37 @@ def trajectory_from_uniforms(rates, uniforms, tagged=None):
     for t, pos in enumerate(system._evolve(np.asarray(uniforms) < rates), 1):
         out[t] = pos[tagged - 1] - (m - tagged)
     return out
+
+
+def stay_bits_scalar(rates, horizon, master_seed, k):
+    """Stay bits of sample k for the steps 0..horizon-1, one cell at a time.
+
+    Cell n = t*M + j is byte n mod 8 (little-endian) of word n // 8 of the
+    Philox stream keyed (master_seed, k). With c = ceil(q_j * 2**53) in
+    exact rational arithmetic, the particle stays iff
+    byte * 2**45 + V < c, where V is the top 45 bits of the next word of
+    the stream with the same key at counter (0, 0, 0, 1) when
+    byte == c >> 45; otherwise every V gives the same answer and no tie
+    word is read. Returns a (horizon, M) list of 0/1 rows.
+    """
+    key = np.array([master_seed, k], dtype=np.uint64)
+    m = len(rates)
+    words = np.random.Philox(key=key).random_raw(-(-horizon * m // 8))
+    words = [int(w) for w in words]
+    tie_stream = np.random.Philox(key=key, counter=[0, 0, 0, 1])
+    tops = [math.ceil(Fraction(q) * 2 ** 53) for q in rates]
+    bits = []
+    for t in range(horizon):
+        row = []
+        for j, top in enumerate(tops):
+            n = t * m + j
+            byte = (words[n // 8] >> (8 * (n % 8))) & 0xFF
+            tail = 0
+            if byte == top >> 45:
+                tail = int(tie_stream.random_raw()) >> 19
+            row.append(int(byte * 2 ** 45 + tail < top))
+        bits.append(row)
+    return bits
 
 
 def phi(t1, t2, x1, x2):

@@ -33,6 +33,7 @@ from oracles import (
     schur_weight,
 )
 from steptasep import harness
+from steptasep.finite_kernel import FiniteKernel, joint_probability
 from steptasep.fredholm import (
     det_continuous,
     region1_prob,
@@ -239,6 +240,21 @@ class TestOnsetDeterminant:
                              harness.adaptive_chunk(t, m))[:, 0]
         for ell in (1, 2, 3):
             want = region1_prob([0.0], [ell])
+            emp = float(np.mean(ls >= ell))
+            se = np.sqrt(emp * (1.0 - emp) / n)
+            assert abs(emp - want) <= 3.0 * se, (ell, emp, want, se)
+
+    def test_monte_carlo_matches_exact_finite_size_law(self):
+        # the same samples against the exact law of L(t, M) that they
+        # estimate, at the same lattice time and the same 3 SE per level
+        m, q, n = 400, 0.1, 10000
+        t = ScaledExperiment(region="R1", m=m, q=q).time_of(0.0)
+        spec = SystemSpec(m=m, rates=uniform_rates(m, q), horizon=t)
+        ls = sample_ensemble(spec, [t], n, 12,
+                             harness.adaptive_chunk(t, m))[:, 0]
+        kern = FiniteKernel(uniform_rates(m, q))
+        for ell in (1, 2, 3):
+            want = joint_probability([t], [ell], kern)
             emp = float(np.mean(ls >= ell))
             se = np.sqrt(emp * (1.0 - emp) / n)
             assert abs(emp - want) <= 3.0 * se, (ell, emp, want, se)

@@ -17,6 +17,7 @@ from oracles import (kernel_K, kernel_quadrature, kernel_series, phi,
                      psi1_quadrature, ResiduePsi)
 from steptasep import combinatorics as cb
 from steptasep import finite_kernel as fk
+from steptasep.fredholm import det_discrete
 
 
 RATES2 = [Fraction(3, 10), Fraction(1, 2)]
@@ -242,6 +243,29 @@ class TestKernelBlock:
             assert all(type(v) is Fraction for row in got for v in row)
         assert ops == []
 
+
+    def test_float_route_is_the_rounded_exact_route(self):
+        # bit for bit: the q=0.5 column at M=50, t=100, where float terms
+        # of 3e26 cancel, and the two-time grid on the defect rates
+        def rounded(kern):
+            return lambda *args: [[float(v) for v in row]
+                                  for row in kern.block(*args)]
+
+        uniform = fk.FiniteKernel((0.5,) * 50)
+        defect = fk.FiniteKernel((0.2,) + (0.1,) * 49)
+        windows = {80: range(17, 32), 100: range(22, 52)}
+        pairs = [(uniform, 100, range(1, 52), 100, range(1, 52))]
+        pairs += [(defect, t1, windows[t1], t2, windows[t2])
+                  for t1, t2 in itertools.product(windows, repeat=2)]
+        for kern, *args in pairs:
+            got = kern.block(*args, exact=False)
+            assert all(type(v) is float for row in got for v in row)
+            assert got == rounded(kern)(*args), args
+        for l1, l2 in itertools.product((3, 9, 15), (6, 18, 30)):
+            blocks = [(80, range(32 - l1, 32)), (100, range(52 - l2, 52))]
+            want = min(max(det_discrete(rounded(defect), blocks), 0.0), 1.0)
+            got = fk.joint_probability([80, 100], [l1, l2], defect)
+            assert got == want, (l1, l2)
 
 def oracle_joint(law, pairs):
     return cb.prob_path_at_least(law, pairs)

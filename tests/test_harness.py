@@ -230,6 +230,20 @@ class TestSimulateRunner:
         for name, blob in first.items():
             assert (tmp_path / "run" / name).read_bytes() == blob
 
+    def test_unbounded_work_refused_before_any_draw(self, tmp_path,
+                                                    monkeypatch):
+        # u = 10^6 maps to t = 10^8 steps: 100 particles and 150 samples
+        # are 1.5e12 cells, far above system.MAX_CELLS
+        made = []
+        monkeypatch.setattr(system, "_trajectories",
+                            lambda *args: made.append(args) or iter(()))
+        cfg = self._config(tmp_path / "run", m=100, u=1e6)
+        with pytest.raises(ValueError, match=(
+                r"1500000000000 cells .* limit of 20000000000 cells")):
+            harness.run_simulate(cfg)
+        assert made == []
+        assert not (tmp_path / "run").exists()
+
     def test_defect_region_needs_its_time_ratio(self, tmp_path):
         cfg = self._config(tmp_path / "run", region="R4", qbar=0.2, u=None)
         with pytest.raises(ValueError, match=r"\bu\b"):

@@ -1,5 +1,6 @@
 """Simulator checks: dynamics, couplings, reproducibility, mean law."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import trajectory_from_uniforms
+from oracles import stay_bits_scalar, trajectory_from_uniforms
 from steptasep import combinatorics as comb
 from steptasep import system as sy
 
@@ -110,9 +111,8 @@ class TestAgainstMatrixPicture:
         n_rows = horizon - m + 1
         paths = []
         for k in range(7):
-            gen = np.random.Generator(np.random.Philox(key=[seed, k]))
-            stay = gen.random((horizon, m)) < np.array(rates)
-            bits = [[int(stay[r + j - 1, j - 1]) for j in range(m, 0, -1)]
+            stay = stay_bits_scalar(rates, horizon, seed, k)
+            bits = [[stay[r + j - 1][j - 1] for j in range(m, 0, -1)]
                     for r in range(n_rows)]
             path, _ = comb.trajectory_from_matrix(bits)
             paths.append([path[t] for t in times])
@@ -263,6 +263,22 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="budget"):
             sy.positions_trajectory(spec, 5)
 
+    def test_work_limit_holds_at_the_limit(self, monkeypatch):
+        # 3 samples of 4 particles to t=50 are 600 cells: allowed at a
+        # limit of 600, refused at 599 before any stream is made
+        spec = spec_uniform(4, 0.2, 50)
+        want = sy.sample_ensemble(spec, [10, 50], 3, master_seed=8)
+        monkeypatch.setattr(sy, "MAX_CELLS", 600)
+        assert np.array_equal(
+            sy.sample_ensemble(spec, [10, 50], 3, master_seed=8), want)
+        made = []
+        monkeypatch.setattr(sy, "_trajectories",
+                            lambda *args: made.append(args) or iter(()))
+        monkeypatch.setattr(sy, "MAX_CELLS", 599)
+        with pytest.raises(ValueError, match="600 cells .* limit of 599"):
+            sy.sample_ensemble(spec, [10, 50], 3, master_seed=8)
+        assert made == []
+
     def test_row_zero_is_tagged_column_of_trajectory(self):
         horizon = 2 * sy.TIME_BLOCK + 3
         spec = sy.SystemSpec(m=6, rates=sy.defect_rates(6, 0.2, {1: 0.5}),
@@ -280,37 +296,109 @@ class TestEnsemble:
         assert np.all(ens[:, 2] <= 1)
 
 
-class TestRawThresholds:
-    """Stay bits from raw Philox words against integer thresholds equal
-    Generator(Philox).random() < q bit for bit."""
+class FixedWords:
+    """A stand-in tie stream that hands out given words in order."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+class TestByteThresholds:
+    """Each stay bit is byte * 2**45 + V < ceil(q * 2**53), with V the top
+    45 bits of a tie word read only when the byte equals c >> 45."""
 
     EDGE_RATES = [0.0, 2.0 ** -60, 0.1, 0.5, 1 - 2.0 ** -53]
 
     @staticmethod
-    def assert_same_bits(rates, key, steps=200):
-        shape = (steps, len(rates))
-        key = np.array(key, dtype=np.uint64)
-        want = np.random.Generator(np.random.Philox(key=key)).random(
-            shape) < np.asarray(rates)
-        raw = np.random.Philox(key=key).random_raw(shape)
-        assert np.array_equal(raw < sy._thresholds(rates), want)
-        # the words on either side of each threshold, read as doubles
-        # the way Generator.random does
-        for q, c in zip(rates, sy._thresholds(rates).tolist()):
-            for word in (max(c - 1, 0), c):
-                assert (word < c) == ((word >> 11) * 2.0 ** -53 < q)
+    def assert_law(rates, tie_words):
+        # every byte value for every rate, in cell order
+        m = len(rates)
+        stay_bytes = np.repeat(np.arange(256, dtype=np.uint8), m)
+        hi, tie_below = (np.tile(a, 256) for a in sy._thresholds(rates))
+        got = np.empty(stay_bytes.size, dtype=bool)
+        sy._stay_bits(stay_bytes, hi, tie_below, FixedWords(tie_words), got)
+        tops = [math.ceil(Fraction(q) * 2 ** 53) for q in rates]
+        words = iter(tie_words)
+        want = []
+        for byte in range(256):
+            for top in tops:
+                tail = int(next(words)) >> 19 if byte == top >> 45 else 0
+                want.append(byte * 2 ** 45 + tail < top)
+        assert got.tolist() == want
+        assert next(words, None) is None  # one tie word per tie, no more
+
+    @classmethod
+    def assert_law_at_the_tie(cls, rates, key):
+        # Philox tie words, then the words on either side of each
+        # rate's tie threshold and the extreme words
+        ties = np.random.Philox(key=np.array(key, dtype=np.uint64),
+                                counter=[0, 0, 0, 1]).random_raw(len(rates))
+        cls.assert_law(rates, ties.tolist())
+        for q in rates:
+            lo = math.ceil(Fraction(q) * 2 ** 53) % 2 ** 45
+            for word in (max(lo * 2 ** 19 - 1, 0), lo * 2 ** 19, 0,
+                         2 ** 64 - 1):
+                cls.assert_law([q], [word])
 
     def test_edge_rates(self):
-        self.assert_same_bits(self.EDGE_RATES, [3, 1])
-        for q in self.EDGE_RATES:
-            self.assert_same_bits([q], [3, 2])
+        hi, _ = sy._thresholds([0.5])
+        assert hi.tolist() == [128]  # lo = 0: the tie byte always moves
+        self.assert_law_at_the_tie(self.EDGE_RATES, [3, 1])
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
                     max_size=6),
            st.integers(0, 2 ** 64 - 1))
     def test_drawn_rates(self, rates, seed):
-        self.assert_same_bits(rates, [seed, 0], steps=40)
+        self.assert_law_at_the_tie(rates, [seed, 0])
+
+    def test_trajectory_reads_the_scalar_layout(self):
+        # positions_trajectory drives _evolve with exactly the oracle's
+        # bits, over a partial last block and a partial last word
+        rates = self.EDGE_RATES + [0.3, 0.9]
+        horizon = 2 * sy.TIME_BLOCK + 5
+        spec = sy.SystemSpec(m=len(rates), rates=rates, horizon=horizon)
+        bits = np.array(stay_bits_scalar(rates, horizon, 2 ** 63 + 5, 0),
+                        dtype=bool)
+        want = [sy._initial_sites(len(rates)).tolist()]
+        want += [pos.tolist() for pos in sy._evolve(bits)]
+        assert sy.positions_trajectory(spec, 2 ** 63 + 5).tolist() == want
+
+
+class TestStreamInvariance:
+    """A sample's value at a time depends on its key alone: not on the
+    chunk size, the time block, the horizon or the other times."""
+
+    RATES = (0.3, 0.6, 0.2, 0.5, 0.4, 0.1, 0.7)
+
+    def ensemble(self, times, chunk_size=None, n=9):
+        spec = sy.SystemSpec(m=len(self.RATES), rates=self.RATES,
+                             horizon=max(times))
+        return sy.sample_ensemble(spec, times, n, 2024, chunk_size=chunk_size)
+
+    def test_chunk_sizes(self):
+        times = [5, sy.TIME_BLOCK, 2 * sy.TIME_BLOCK + 9]
+        want = self.ensemble(times, chunk_size=1)
+        for chunk in (3, 64):
+            assert np.array_equal(self.ensemble(times, chunk_size=chunk), want)
+
+    def test_horizons_at_shared_times(self):
+        long_run = self.ensemble([9, 70, 150, 201])
+        assert np.array_equal(self.ensemble([9]), long_run[:, :1])
+        assert np.array_equal(self.ensemble([70, 9]), long_run[:, [1, 0]])
+        assert np.array_equal(self.ensemble([150]), long_run[:, 2:3])
+
+    def test_time_block(self, monkeypatch):
+        times = [9, 70, 150, 201]
+        want = self.ensemble(times, chunk_size=4)
+        monkeypatch.setattr(sy, "TIME_BLOCK", 16)
+        assert np.array_equal(self.ensemble(times, chunk_size=4), want)
+        assert np.array_equal(self.ensemble(times[:2], chunk_size=4),
+                              want[:, :2])
 
 
 class TestMeanLaw:

@@ -14,7 +14,10 @@ run that completes more operations also reads a higher `peak_rss_mb`), the
 failed operation count, and the `src/` line count and machine facts that
 run.py reports; and per workload and metric, how many
 pairs each side won in the direction BENCHMARK.json calls `better` (ties
-count for neither).
+count for neither).  After the pairs, each checkout also makes one
+`--trace 1` run per workload at seed 801, whose per-layer metrics (such as
+`system.sample_ensemble.ns_per_cell`) go under the workload's `traced` key,
+per side.
 Standard library only.
 """
 
@@ -41,11 +44,12 @@ def parse_args(argv):
     return args
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     """One benchmark run; returns its facts and result lines."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     facts_line, result_line = proc.stdout.strip().splitlines()[-2:]
     return json.loads(facts_line)["facts"], json.loads(result_line)
@@ -85,6 +89,14 @@ def pairs_won(runs, metrics):
     return won
 
 
+def traced_run(checkout, workload, seconds):
+    """Per-layer metrics of one `--trace 1` run at seed SEED0."""
+    _, result = run_once(checkout, workload, SEED0, seconds, trace=1)
+    return {"attempted": result["attempted"], "failed": result["failed"],
+            "metrics": {name: metric["value"]
+                        for name, metric in result["metrics"].items()}}
+
+
 def main(argv=None):
     args = parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -108,6 +120,9 @@ def main(argv=None):
             side: summarize(runs[side], names) for side in sides}
         record["workloads"][workload]["pairs_won"] = pairs_won(
             runs, bench["end_to_end"])
+        record["workloads"][workload]["traced"] = {
+            side: traced_run(sides[side], workload, bench["run_seconds"])
+            for side in sides}
     record["machine"] = {k: v for k, v in runs["change"][0]["facts"].items()
                          if k not in ("seed", "src_lines")}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
