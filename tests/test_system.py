@@ -180,8 +180,8 @@ class TestEnsemble:
         )
 
     def test_default_chunk_respects_uniform_budget(self, monkeypatch):
-        # a budget that holds two samples' blocks of raw words caps every
-        # batch at two and every block at TIME_BLOCK steps, however long
+        # a budget that holds two samples' blocks at 8 bytes a cell caps
+        # every batch at two and every block at TIME_BLOCK steps, however long
         # the horizon and however many samples are asked for
         m, horizon = 5, 3 * sy.TIME_BLOCK + 7
         spec = spec_uniform(m, 0.3, horizon)
