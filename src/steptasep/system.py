@@ -41,17 +41,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Memory budget in bytes. A batch of samples is sized as if one time block
-# of it cost 8 bytes per sample, step and particle; the sampler holds one
-# byte per cell (the stay bits) plus one sample's block of stay bytes at a
-# time, so a batch stays well under it. A positions_trajectory whose
-# (horizon+1) x M int64 output exceeds the budget is refused.
+# Memory budget in bytes. A batch is kept within it at 8 bytes per sample,
+# step and particle of one time block, a bound that BLOCK_CELLS below keeps
+# tighter at this value; the sampler holds one byte per cell (the stay
+# bits) plus one sample's block of stay bytes at a time. A
+# positions_trajectory whose (horizon+1) x M int64 output exceeds the
+# budget is refused.
 UNIFORM_BLOCK_BYTES = 2e8
 
+# Stay bits of one time block of a batch: at most BLOCK_CELLS cells (about
+# 2 MB) over at most MAX_BATCH samples, whose Philox stream pairs the batch
+# holds. Small systems then amortize each step's numpy calls over many
+# samples (M=100: 256 samples; M=400 to t=2000: 81).
+BLOCK_CELLS = 2 ** 21
+MAX_BATCH = 256
+
 # Work limit of one sample_ensemble call, in cells (horizon x M x samples).
-# At the 5-6 ns a cell costs on a 2-core x86 box this is about two
-# minutes; the largest built-in run, a fig8 panel at t=3000 with 10^4
-# samples of 100 particles, is 3e9 cells.
+# At the 3.5-4.5 ns a cell costs on a 2-core x86 box (draw and update) this
+# is about a minute and a half; the largest built-in run, a fig8 panel at
+# t=3000 with 10^4 samples of 100 particles, is 3e9 cells.
 MAX_CELLS = 2 * 10 ** 10
 
 # Steps of stay bits drawn at a time; a multiple of 8, so that a block's
@@ -100,9 +108,19 @@ def defect_rates(m, q, defects):
     return tuple(rates)
 
 
-def _initial_sites(m):
+def _initial_sites(m, dtype=np.int64):
     """Step initial data: particle j at site M - j, the tagged one at 0."""
-    return np.arange(m - 1, -1, -1, dtype=np.int64)
+    return np.arange(m - 1, -1, -1, dtype=dtype)
+
+
+def _position_dtype(top):
+    """Narrowest signed integer type, at least int16, that holds top.
+
+    Sites stay below m + horizon and gaps at most horizon + 1, so positions
+    of a run held in this type for top = m + horizon never wrap.
+    """
+    return next(np.dtype(d) for d in (np.int16, np.int32, np.int64)
+                if top <= np.iinfo(d).max)
 
 
 def _evolve(stay, pos=None):
@@ -110,26 +128,40 @@ def _evolve(stay, pos=None):
 
     stay has shape (..., T, M); stay[..., t, j] is the stay indicator of
     particle j+1 at the step from t to t+1. pos is the (..., M)
-    configuration before the first step, step initial data by default.
-    Blocking uses the pre-step configuration. Yields the (..., M) sites
-    after each of the T steps; the yielded array, pos itself when given, is
-    updated in place by the next step.
+    configuration before the first step, step initial data by default,
+    held in the narrowest integer type that fits M + T (`_position_dtype`);
+    a given pos keeps its own type. Blocking uses the pre-step
+    configuration. Yields the (..., M) sites after each of the T steps; the
+    yielded array, pos itself when given, is updated in place by the next
+    step.
+
+    The gap, free and move arrays are allocated once per call, so a step
+    is five in-place ufuncs over narrow integers and no temporaries.
     """
     m = stay.shape[-1]
     if pos is None:
-        pos = np.broadcast_to(_initial_sites(m), stay.shape[:-2] + (m,)).copy()
+        pos = np.broadcast_to(
+            _initial_sites(m, _position_dtype(m + stay.shape[-2])),
+            stay.shape[:-2] + (m,)).copy()
+    gap = np.empty(pos.shape[:-1] + (m - 1,), dtype=pos.dtype)
+    free = np.empty(gap.shape, dtype=bool)
+    move = np.empty(pos.shape, dtype=bool)
     for t in range(stay.shape[-2]):
-        move = ~stay[..., t, :]
-        move[..., 1:] &= (pos[..., :-1] - pos[..., 1:]) > 1
+        np.subtract(pos[..., :-1], pos[..., 1:], out=gap)
+        np.greater(gap, 1, out=free)
+        np.logical_not(stay[..., t, :], out=move)
+        move[..., 1:] &= free
         pos += move
         yield pos
 
 
 def adaptive_chunk(horizon, m):
-    """Sample batch size keeping a batch's 8-byte charge per cell for one
-    time block near UNIFORM_BLOCK_BYTES."""
-    cells = max(1, min(horizon, TIME_BLOCK) * m * 8)
-    return max(1, min(64, int(UNIFORM_BLOCK_BYTES / cells)))
+    """Sample batch size: one time block of a batch holds at most
+    BLOCK_CELLS stay bits (about 2 MB) and at most MAX_BATCH samples, and
+    its 8-byte charge per cell stays within UNIFORM_BLOCK_BYTES."""
+    cells = max(1, min(horizon, TIME_BLOCK) * m)
+    return max(1, min(MAX_BATCH, BLOCK_CELLS // cells,
+                      int(UNIFORM_BLOCK_BYTES / (8 * cells))))
 
 
 def _thresholds(rates):
@@ -166,7 +198,8 @@ def _trajectories(rates, horizon, master_seed, indices):
     (master_seed, k), ceil(cells / 8) words per block, and its tie words
     from the stream with the same key at TIE_COUNTER, so results do not
     depend on how samples are grouped into batches. Yields (t, pos) with
-    pos of shape (len(indices), M), updated in place by the next step.
+    pos of shape (len(indices), M) in `_position_dtype(M + horizon)`,
+    updated in place by the next step.
     """
     m = len(rates)
     steps = min(horizon, TIME_BLOCK)
@@ -177,7 +210,8 @@ def _trajectories(rates, horizon, master_seed, indices):
                 np.random.Philox(key=key, counter=TIE_COUNTER))
                for key in keys]
     stay = np.empty((len(keys), steps, m), dtype=bool)
-    pos = np.broadcast_to(_initial_sites(m), (len(keys), m)).copy()
+    pos = np.broadcast_to(_initial_sites(m, _position_dtype(m + horizon)),
+                          (len(keys), m)).copy()
     for start in range(0, horizon, TIME_BLOCK):
         block = stay[:, :min(TIME_BLOCK, horizon - start)]
         cells = block[0].size
@@ -238,8 +272,8 @@ def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=None):
     adaptive_chunk of the last time.
 
     A run of more than MAX_CELLS = 2e10 cells (last time x M x n_samples,
-    about two minutes of sampling on a 2-core x86 box) raises a ValueError
-    before any draw.
+    about a minute and a half of sampling on a 2-core x86 box) raises a
+    ValueError before any draw.
     """
     times = [_checked_int(t, "time", 0, spec.horizon) for t in times]
     _checked_int(master_seed, "master_seed", 0, 2 ** 64 - 1)

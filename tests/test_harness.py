@@ -111,13 +111,39 @@ class TestConfig:
 
 class TestAdaptiveChunk:
     def test_bounds(self):
-        assert harness.adaptive_chunk(10, 10) == 64
-        assert harness.adaptive_chunk(3000, 100) == 64
-        # the budget counts one time block, so long horizons keep the cap
-        assert harness.adaptive_chunk(100000, 1000) == 64
-        assert harness.adaptive_chunk(100000, 100000) == 3
-        assert harness.adaptive_chunk(10, 100000) == 25
-        assert harness.adaptive_chunk(0, 0) == 64
+        assert harness.adaptive_chunk(10, 10) == 256
+        # a fig8 panel of 150 samples runs as one batch
+        assert harness.adaptive_chunk(3000, 100) == 256
+        # the budget counts one time block: 2**21 cells of 64 x 400
+        assert harness.adaptive_chunk(2000, 400) == 81
+        assert harness.adaptive_chunk(100000, 1000) == 32
+        assert harness.adaptive_chunk(100000, 100000) == 1
+        assert harness.adaptive_chunk(10, 100000) == 2
+        assert harness.adaptive_chunk(0, 0) == 256
+
+    @pytest.mark.parametrize("m, horizon, n_samples", [
+        (2, 70, 600), (100, 64, 300), (400, 64, 90), (3000, 5, 200)])
+    def test_default_batch_block_within_cell_budget(self, m, horizon,
+                                                    n_samples, monkeypatch):
+        # every time block of a default batch holds at most 2**21 stay
+        # bits and at most 256 samples
+        blocks = []
+        evolve = system._evolve
+
+        def spy(stay, pos=None):
+            blocks.append(stay.shape)
+            return evolve(stay, pos)
+
+        monkeypatch.setattr(system, "_evolve", spy)
+        spec = system.SystemSpec(m=m, rates=uniform_rates(m, 0.2),
+                                 horizon=horizon)
+        system.sample_ensemble(spec, [horizon], n_samples, master_seed=3)
+        steps = min(horizon, system.TIME_BLOCK)
+        per_batch = -(-horizon // steps)
+        assert sum(shape[0] for shape in blocks[::per_batch]) == n_samples
+        assert max(shape[0] for shape in blocks) == min(
+            256, 2 ** 21 // (steps * m))
+        assert all(np.prod(shape) <= 2 ** 21 for shape in blocks)
 
 
 class TestWriters:

@@ -296,6 +296,63 @@ class TestEnsemble:
         assert np.all(ens[:, 2] <= 1)
 
 
+class TestPositionWidth:
+    """Positions run in the narrowest integer type that holds M + horizon;
+    the samples and trajectories come back as int64."""
+
+    def test_past_the_int16_edge(self):
+        # q = 0: the front particle moves every step, the tagged one
+        # from step 2 on, to 40,001 and 39,999 at t = 40,000
+        spec = spec_uniform(2, 0.0, 40000)
+        ens = sy.sample_ensemble(spec, [40000], 3, master_seed=4)
+        assert ens.dtype == np.int64 and ens.tolist() == [[39999]] * 3
+        path = sy.positions_trajectory(spec, 4)
+        assert path.dtype == np.int64
+        assert path[40000].tolist() == [40001, 39999]
+
+    @pytest.mark.parametrize("top, dtype", [
+        (3, np.int16), (2 ** 15 - 1, np.int16), (2 ** 15, np.int32),
+        (2 ** 31 - 1, np.int32), (2 ** 31, np.int64)])
+    def test_dtype_rule(self, top, dtype):
+        assert sy._position_dtype(top) == dtype
+
+    @pytest.mark.parametrize("horizon, dtype", [
+        (2 ** 15 - 3, np.int16), (2 ** 15 - 2, np.int32)])
+    def test_samplers_switch_at_the_edge(self, horizon, dtype,
+                                         monkeypatch):
+        # M = 2, so M + horizon is 2**15 - 1 and 2**15
+        starts = []
+        evolve = sy._evolve
+
+        def spy(stay, pos=None):
+            starts.append(pos.dtype)
+            return evolve(stay, pos)
+
+        monkeypatch.setattr(sy, "_evolve", spy)
+        spec = spec_uniform(2, 0.0, horizon)
+        assert sy.sample_ensemble(spec, [horizon], 1, 0).tolist() == [
+            [horizon - 1]]
+        assert set(starts) == {np.dtype(dtype)}
+        monkeypatch.setattr(sy, "_evolve", evolve)
+        stay = np.zeros((horizon, 2), dtype=bool)
+        assert next(sy._evolve(stay)).dtype == dtype
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 40), st.integers(1, 9),
+           st.floats(0.0, 0.95), st.integers(0, 2 ** 32 - 1))
+    def test_same_bits_same_positions_at_every_width(self, batch, steps, m,
+                                                     q, seed):
+        stay = np.random.default_rng(seed).random((batch, steps, m)) < q
+        runs = []
+        for dtype in (np.int16, np.int32, np.int64):
+            start = np.broadcast_to(sy._initial_sites(m, dtype),
+                                    (batch, m)).copy()
+            runs.append([pos.astype(np.int64).tolist()
+                         for pos in sy._evolve(stay, start)])
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == [pos.tolist() for pos in sy._evolve(stay)]
+
+
 class FixedWords:
     """A stand-in tie stream that hands out given words in order."""
 

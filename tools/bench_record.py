@@ -17,7 +17,12 @@ pairs each side won in the direction BENCHMARK.json calls `better` (ties
 count for neither).  After the pairs, each checkout also makes one
 `--trace 1` run per workload at seed 801, whose per-layer metrics (such as
 `system.sample_ensemble.ns_per_cell`) go under the workload's `traced` key,
-per side.
+per side.  Last, `layers` holds per side the nanoseconds per cell of the
+sampler's stay-bit draw and of its update rule at each of LAYER_POINTS,
+measured in that checkout's `src/`: the full `sample_ensemble` and the same
+call with `system._evolve` replaced by a generator that yields the
+positions unchanged, alternately, LAYER_REPEATS times each.  The median of
+the second is the draw, and the difference of the medians is the update.
 Standard library only.
 """
 
@@ -30,6 +35,47 @@ from pathlib import Path
 
 SEED0 = 801
 PAIRS = 10
+# (M, samples, t) at q = 0.1: the last fig8 panel and the verify point
+LAYER_POINTS = ((100, 150, 3000), (400, 400, 2000))
+LAYER_REPEATS = 3
+
+# Run in a checkout's root; prints one JSON line mapping each point,
+# "M=..,samples=..,t=..", to its draw_ns_per_cell and update_ns_per_cell.
+LAYER_PROBE = """
+import json, statistics, sys, time
+sys.path.insert(0, "src")
+from steptasep import system
+
+points, repeats, seed = json.loads(sys.argv[1])
+evolve = system._evolve
+
+
+def idle(stay, pos=None):
+    for _ in range(stay.shape[-2]):
+        yield pos
+
+
+def seconds(m, n, t, rule):
+    system._evolve = rule
+    spec = system.SystemSpec(m=m, rates=system.uniform_rates(m, 0.1),
+                             horizon=t)
+    start = time.perf_counter()
+    system.sample_ensemble(spec, [t], n, seed)
+    return time.perf_counter() - start
+
+
+out = {}
+for m, n, t in points:
+    # full and draw-only runs alternate, so a drift in host speed meets both
+    runs = [(seconds(m, n, t, evolve), seconds(m, n, t, idle))
+            for _ in range(repeats)]
+    full, draw = (statistics.median(side) for side in zip(*runs))
+    ns = 1e9 / (m * n * t)
+    out[f"M={m},samples={n},t={t}"] = {
+        "draw_ns_per_cell": draw * ns,
+        "update_ns_per_cell": (full - draw) * ns}
+print(json.dumps(out))
+"""
 
 
 def parse_args(argv):
@@ -97,6 +143,15 @@ def traced_run(checkout, workload, seconds):
                         for name, metric in result["metrics"].items()}}
 
 
+def layer_run(checkout):
+    """Draw and update nanoseconds per cell at LAYER_POINTS in a checkout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYER_PROBE,
+         json.dumps([LAYER_POINTS, LAYER_REPEATS, SEED0])],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def main(argv=None):
     args = parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -123,6 +178,7 @@ def main(argv=None):
         record["workloads"][workload]["traced"] = {
             side: traced_run(sides[side], workload, bench["run_seconds"])
             for side in sides}
+    record["layers"] = {side: layer_run(sides[side]) for side in sides}
     record["machine"] = {k: v for k, v in runs["change"][0]["facts"].items()
                          if k not in ("seed", "src_lines")}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
