@@ -32,6 +32,7 @@ import numpy as np
 
 from .combinatorics import fraction_determinant
 from .limit_kernels.kernels import (
+    _leggauss,
     extended_airy_block,
     kernel_K3_block,
     kernel_region1,
@@ -101,7 +102,7 @@ def _det_once(block, taus, esses, lcut, order):
     nodes, roots = [], []
     for s in esses:
         length, n = _window(s, lcut, order)
-        t, w = np.polynomial.legendre.leggauss(n)
+        t, w = _leggauss(n)
         nodes.append(s + length / 2.0 + length / 2.0 * t)
         roots.append(np.sqrt(length / 2.0 * w))
     return det_discrete(

@@ -111,8 +111,10 @@ class ExperimentConfig:
             raise ValueError("master_seed must fit in an unsigned 64-bit int")
         if self.n_samples is not None and self.n_samples < 1:
             raise ValueError("n_samples must be positive")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.tolerance is not None and not (
+                math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, "
+                             f"got {self.tolerance!r}")
         if self.law is not None and self.law not in LAW_NAMES:
             raise ValueError(f"unknown law {self.law!r}; "
                              f"choose from {LAW_NAMES}")

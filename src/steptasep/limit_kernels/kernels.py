@@ -49,6 +49,7 @@ _SQRT_PI = math.sqrt(math.pi)
 _ORDER = 64
 
 
+# the one Gauss-Legendre rule per order, also fredholm's; read-only arrays
 @lru_cache(maxsize=None)
 def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)

@@ -34,7 +34,8 @@ import math
 from dataclasses import dataclass
 
 from ..fredholm import GAUSSIAN, GOE_SQUARED, TW_GUE
-from ..system import critical_scaled_time, defect_rates, mean_bulk, mean_defect
+from ..system import (_checked_int, critical_scaled_time, defect_rates,
+                      mean_bulk, mean_defect)
 
 # region -> (family, target law, slow particles required: None, "one" at
 # qbar on particle 1, or "several" merging into qbar, one per strength)
@@ -127,8 +128,10 @@ class ScaledExperiment:
             raise ValueError(f"unknown region {self.region!r}")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
-        if self.m < 1:
-            raise ValueError("m must be positive")
+        object.__setattr__(self, "m",
+                           _checked_int(self.m, "m", 1, integral=True))
+        if self.u is not None and not math.isfinite(self.u):
+            raise ValueError(f"u must be finite; got u={self.u}")
         object.__setattr__(self, "strengths",
                            tuple(float(s) for s in self.strengths))
         if any(s < 0 for s in self.strengths):

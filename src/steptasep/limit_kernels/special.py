@@ -1,23 +1,21 @@
 """Special functions used by the limiting kernels.
 
-The Airy function and its derivative are computed from the Maclaurin
-series on (-8, 4), from the asymptotic expansions in
-zeta = (2/3)|x|^(3/2) for x <= -8 or x >= 9, and on [4, 9) from the
-saddle-point representation
+The Airy function and its derivative have three routes: the Maclaurin
+series on (-8, 4), summed in extended precision (np.longdouble); the
+oscillatory asymptotic series in zeta = (2/3)|x|^(3/2) for x <= -8, the
+real and imaginary parts of sum_k c_k (i/zeta)^k; and on the decay side
+x >= 4 the saddle-point representation
 
-    Ai(x) = e^(-zeta)/(2 pi x^(1/4)) int e^(-u^2) cos(u^3/(3 x^(3/4))) du,
+    Ai(x) = e^(-zeta)/(2 pi x^(1/4)) int e^(-u^2) cos(u^3/(3 x^(3/4))) du.
 
-whose integrand has no sign cancellation, keeping the RELATIVE error near
-machine precision through the decay band where the series cancels
-catastrophically and the asymptotic series has not yet converged.  The
-series is accumulated in extended precision (np.longdouble) for the
-oscillatory side.  Downstream kernel integrals weight Ai by growing
+Its integrand is even, entire and free of sign cancellation, so a
+trapezoid on u in [0, 6.5] with step 1/4 keeps the RELATIVE error near
+machine precision from x = 4 on, where the series cancels
+catastrophically.  Downstream kernel integrals weight Ai by growing
 exponentials, so relative accuracy in the decay band matters, not just
-absolute accuracy.  Both asymptotic tails go through one summer,
-sum_k c_k (unit/zeta)^k with unit -1 on the decaying side and unit i on the
-oscillatory side, whose real and imaginary parts are the P and Q series.
-Higher derivatives come from one (Ai, Ai') evaluation and the recurrence
-Ai^(k+2) = x Ai^(k) + k Ai^(k-1), which is Ai'' = x Ai differentiated.
+absolute accuracy.  Higher derivatives come from one (Ai, Ai') evaluation
+and the recurrence Ai^(k+2) = x Ai^(k) + k Ai^(k-1), which is Ai'' = x Ai
+differentiated.
 
 Hermite polynomials enter as the factorial-scaled sequence
 h_n(tau) = 2^(-n/2) H_n(tau/sqrt(2))/n!, whose recurrence
@@ -40,7 +38,6 @@ _AIP0 = np.longdouble("0.2588194037928067984051836")
 
 _SERIES_CUTOFF = 8.0
 _SADDLE_LO = 4.0
-_SADDLE_HI = 9.0
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # trapezoid nodes y on the line z = 1 + i*y of psi1_line_integral
@@ -88,18 +85,15 @@ def _airy_series(x):
     return ai.astype(float), aip.astype(float)
 
 
-def _asymptotic_sum(zeta, unit, coeffs):
-    """sum_k c_k (unit/zeta)^k, each entry stopped before its terms grow.
-
-    unit -1 gives the decaying series of x >= 9; unit 1j the oscillatory
-    pair of x <= -8, P its real part and Q its imaginary part.
-    """
-    pw = np.ones(zeta.shape, dtype=np.result_type(zeta, unit))
+def _asymptotic_sum(zeta, coeffs):
+    """sum_k c_k (i/zeta)^k, each entry stopped before its terms grow;
+    the real part is the P series of x <= -8, the imaginary part Q."""
+    pw = np.ones(zeta.shape, dtype=complex)
     total = coeffs[0] * pw
     prev_mag = np.full_like(zeta, np.inf)
     active = np.ones(zeta.shape, dtype=bool)
     for k in range(1, len(coeffs)):
-        pw = pw * unit / zeta
+        pw = pw * 1j / zeta
         term = coeffs[k] * pw
         mag = np.abs(term)
         active &= mag < prev_mag
@@ -110,27 +104,19 @@ def _asymptotic_sum(zeta, unit, coeffs):
     return total
 
 
-def _airy_asymptotic_pos(x):
-    zeta = (2.0 / 3.0) * x ** 1.5
-    root4 = x ** 0.25
-    s_ai = _asymptotic_sum(zeta, -1, _UK)
-    s_aip = _asymptotic_sum(zeta, -1, _VK)
-    e = np.exp(-zeta)
-    ai = e / (2.0 * _SQRT_PI * root4) * s_ai
-    aip = -root4 * e / (2.0 * _SQRT_PI) * s_aip
-    return ai, aip
-
-
-_SADDLE_U = np.arange(-6.5, 6.5 + 0.025, 0.05)
-_SADDLE_W = 0.05 * np.exp(-_SADDLE_U ** 2)
+# trapezoid of the even saddle integrand folded onto the half line
+_SADDLE_U = np.arange(0.0, 6.5 + 0.125, 0.25)
+_SADDLE_W = np.where(_SADDLE_U > 0, 0.5, 0.25) * np.exp(-_SADDLE_U ** 2)
 
 
 def _airy_saddle(x):
-    """(Ai, Ai') on the positive decay band via the descent contour.
+    """(Ai, Ai') on the decay side x >= 4 via the descent contour.
 
     Shifting the Fourier contour through the saddle at i*sqrt(x) leaves a
     Gaussian-weighted integrand with bounded phase, evaluated by the
     trapezoidal rule; both outputs keep near-machine relative accuracy.
+    Row sums, not a matrix product, keep each value independent of the
+    other points of the array.
     """
     zeta = (2.0 / 3.0) * x ** 1.5
     root4 = x ** 0.25
@@ -138,10 +124,10 @@ def _airy_saddle(x):
     c = np.cos(phase)
     s = np.sin(phase)
     front = np.exp(-zeta) / (2.0 * math.pi * root4)
-    ai = front * (c @ _SADDLE_W)
+    ai = front * (c * _SADDLE_W).sum(axis=1)
     re = (-np.sqrt(x)[:, None] * c
           - (_SADDLE_U[None, :] / root4[:, None]) * s)
-    aip = front * (re @ _SADDLE_W)
+    aip = front * (re * _SADDLE_W).sum(axis=1)
     return ai, aip
 
 
@@ -149,8 +135,8 @@ def _airy_asymptotic_neg(x):
     t = -x
     zeta = (2.0 / 3.0) * t ** 1.5
     root4 = t ** 0.25
-    s_ai = _asymptotic_sum(zeta, 1j, _UK)
-    s_aip = _asymptotic_sum(zeta, 1j, _VK)
+    s_ai = _asymptotic_sum(zeta, _UK)
+    s_aip = _asymptotic_sum(zeta, _VK)
     c = np.cos(zeta - 0.25 * math.pi)
     s = np.sin(zeta - 0.25 * math.pi)
     ai = (c * s_ai.real + s * s_ai.imag) / (_SQRT_PI * root4)
@@ -163,18 +149,12 @@ def airy_pair(x):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     ai = np.empty_like(arr)
     aip = np.empty_like(arr)
-    small = (arr > -_SERIES_CUTOFF) & (arr < _SADDLE_LO)
-    if small.any():
-        ai[small], aip[small] = _airy_series(arr[small])
-    band = (arr >= _SADDLE_LO) & (arr < _SADDLE_HI)
-    if band.any():
-        ai[band], aip[band] = _airy_saddle(arr[band])
-    pos = arr >= _SADDLE_HI
-    if pos.any():
-        ai[pos], aip[pos] = _airy_asymptotic_pos(arr[pos])
-    neg = arr <= -_SERIES_CUTOFF
-    if neg.any():
-        ai[neg], aip[neg] = _airy_asymptotic_neg(arr[neg])
+    routes = (((arr > -_SERIES_CUTOFF) & (arr < _SADDLE_LO), _airy_series),
+              (arr >= _SADDLE_LO, _airy_saddle),
+              (arr <= -_SERIES_CUTOFF, _airy_asymptotic_neg))
+    for where, route in routes:
+        if where.any():
+            ai[where], aip[where] = route(arr[where])
     if np.ndim(x) == 0:
         return float(ai[0]), float(aip[0])
     return ai.reshape(np.shape(x)), aip.reshape(np.shape(x))

@@ -237,8 +237,9 @@ def _checked_int(value, name, low, high=None, integral=False):
             checked = int(value)
     if checked is None or checked < low or (high is not None
                                             and checked > high):
-        raise ValueError(f"{name} must be an integer in "
-                         f"{low}..{'' if high is None else high}, "
+        span = ("1.. (positive)" if (low, high) == (1, None)
+                else f"{low}..{'' if high is None else high}")
+        raise ValueError(f"{name} must be an integer in {span}, "
                          f"got {value!r}")
     return checked
 

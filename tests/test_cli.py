@@ -93,6 +93,16 @@ class TestDispatch:
         assert report["n"] == 200 and report["seed"] == 5
         assert (tmp_path / "run" / "samples.csv").exists()
 
+    def test_infinite_u_is_error_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mode": "simulate", "m": 25, "q": 0.1, "qbar": 0.2,'
+                       ' "region": "R4", "u": Infinity}')
+        code, out, err = run_main(
+            ["simulate", "--config", str(cfg), "--seed", "5",
+             "--samples", "20", "--out", str(tmp_path / "run")], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "u must be finite" in err
+
     def test_verify_single_suite_exit_zero(self, capsys):
         code, out, _ = run_main_verify(capsys)
         assert code == 0

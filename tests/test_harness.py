@@ -40,6 +40,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown verify suite"):
             harness.config_from_dict({"mode": "verify", "suites": ["vibes"]})
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        # NaN once reached report.json, which is then not JSON
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            harness.config_from_dict({"mode": "simulate",
+                                      "tolerance": tolerance})
+
     def test_law_names_in_kernel_eval_order(self):
         assert harness.LAW_NAMES == ("tw-gue", "goe-squared", "gaussian")
 

@@ -288,3 +288,24 @@ class TestAdmissibility:
             ScaledExperiment(region="R1", m=10, q=1.2)
         with pytest.raises(ValueError, match="positive"):
             ScaledExperiment(region="R1", m=0, q=0.1)
+
+    @pytest.mark.parametrize("u", [math.inf, math.nan])
+    @pytest.mark.parametrize("region, extra", [
+        ("R1", {}), ("R2", {}), ("R3", {"qbar": 0.2}), ("R4", {"qbar": 0.2}),
+        ("fixedM", {"horizon": 100.0}), ("continuousR2", {})])
+    def test_non_finite_u_rejected_in_every_family(self, region, extra, u):
+        # R4 once took u = inf to time_of, which overflowed in round()
+        with pytest.raises(ValueError, match="u must be finite"):
+            ScaledExperiment(region=region, m=100, q=0.1, u=u, **extra)
+
+    @pytest.mark.parametrize("m", [100.5, math.inf, math.nan])
+    def test_non_integral_m_rejected(self, m):
+        # m = 100.5 once mapped levels at a fractional particle count
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            ScaledExperiment(region="R2", m=m, q=0.1, u=2.0)
+
+    def test_whole_float_m_counts_as_int(self):
+        ex = ScaledExperiment(region="R2", m=100.0, q=0.1, u=2.0)
+        plain = ScaledExperiment(region="R2", m=100, q=0.1, u=2.0)
+        assert type(ex.m) is int and ex == plain
+        assert ex.s_of(10, 200) == plain.s_of(10, 200)

@@ -37,7 +37,8 @@ class TestAiryAccuracy:
         assert np.max(np.abs(aip - ref_aip)) < 1e-12
 
     def test_relative_accuracy_in_decay_band(self):
-        grid = np.linspace(0.0, 20.0, 401)
+        # the law windows and the kernels' lambda rule reach past x = 20
+        grid = np.linspace(0.0, 60.0, 1201)
         ai, aip = airy_pair(grid)
         ref_ai, ref_aip, _, _ = sps.airy(grid)
         assert np.max(np.abs(ai / ref_ai - 1.0)) < 1e-12
@@ -100,7 +101,7 @@ class TestAiryDerivatives:
         assert np.allclose(airy_derivative(xs, 3), expect, rtol=0, atol=1e-14)
 
     def test_high_order_matches_mpmath(self):
-        # every Airy route: asymptotic below -8 and above 9, series, saddle
+        # every Airy route: asymptotic below -8, series, saddle from 4 on
         for r in (4, 6, 7):
             for x in (-9.5, -2.3, 0.4, 1.9, 6.0, 10.5):
                 ref = float(mp.diff(mp.airyai, x, r))

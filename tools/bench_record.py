@@ -14,15 +14,23 @@ run that completes more operations also reads a higher `peak_rss_mb`), the
 failed operation count, and the `src/` line count and machine facts that
 run.py reports; and per workload and metric, how many
 pairs each side won in the direction BENCHMARK.json calls `better` (ties
-count for neither).  After the pairs, each checkout also makes one
-`--trace 1` run per workload at seed 801, whose per-layer metrics (such as
-`system.sample_ensemble.ns_per_cell`) go under the workload's `traced` key,
-per side.  Last, `layers` holds per side the nanoseconds per cell of the
-sampler's stay-bit draw and of its update rule at each of LAYER_POINTS,
-measured in that checkout's `src/`: the full `sample_ensemble` and the same
-call with `system._evolve` replaced by a generator that yields the
-positions unchanged, alternately, LAYER_REPEATS times each.  The median of
-the second is the draw, and the difference of the medians is the update.
+count for neither).  After the pairs, each checkout also makes TRACED_RUNS
+`--trace 1` runs per workload, in the same alternating order, at seeds
+801, 802, ...; their per-layer metrics (such as
+`system.sample_ensemble.ns_per_cell`) go under the workload's `traced`
+key, per side: every run and each metric's median, so that a layer's move
+can be told from the host's.  Last, `layers` holds per side, measured in
+that checkout's `src/`:
+- the nanoseconds per cell of the sampler's stay-bit draw and of its
+  update rule at each of LAYER_POINTS: the full `sample_ensemble` and the
+  same call with `system._evolve` replaced by a generator that yields the
+  positions unchanged, alternately, LAYER_REPEATS times each.  The median
+  of the second is the draw, and the difference of the medians is the
+  update;
+- the nanoseconds per `airy_pair` point on the 80 Gauss-Legendre nodes of
+  the refined Nystrom window on (0, 20] and on 32,640 points over
+  [-3, 45], and the milliseconds per `tw_gue_cdf(0)` and `goe2_cdf(0)`
+  after one warm-up call, each the median of LAYER_REPEATS timings.
 Standard library only.
 """
 
@@ -38,13 +46,17 @@ PAIRS = 10
 # (M, samples, t) at q = 0.1: the last fig8 panel and the verify point
 LAYER_POINTS = ((100, 150, 3000), (400, 400, 2000))
 LAYER_REPEATS = 3
+TRACED_RUNS = 3
 
 # Run in a checkout's root; prints one JSON line mapping each point,
-# "M=..,samples=..,t=..", to its draw_ns_per_cell and update_ns_per_cell.
+# "M=..,samples=..,t=..", to its draw_ns_per_cell and update_ns_per_cell,
+# "airy_pair" to its two per-point costs and each law to ms_at_0.
 LAYER_PROBE = """
 import json, statistics, sys, time
 sys.path.insert(0, "src")
-from steptasep import system
+import numpy as np
+from steptasep import fredholm, system
+from steptasep.limit_kernels.special import airy_pair
 
 points, repeats, seed = json.loads(sys.argv[1])
 evolve = system._evolve
@@ -74,6 +86,32 @@ for m, n, t in points:
     out[f"M={m},samples={n},t={t}"] = {
         "draw_ns_per_cell": draw * ns,
         "update_ns_per_cell": (full - draw) * ns}
+system._evolve = evolve
+
+
+# seconds per call: the median over `repeats` timings of `loops` calls
+def median_time(call, loops=1):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(loops):
+            call()
+        times.append((time.perf_counter() - start) / loops)
+    return statistics.median(times)
+
+
+nodes, _ = np.polynomial.legendre.leggauss(80)
+window = 10.0 + 10.0 * nodes
+wide = np.linspace(-3.0, 45.0, 32640)
+out["airy_pair"] = {
+    "window_80_ns_per_point": 1e9 * median_time(
+        lambda: airy_pair(window), 200) / window.size,
+    "wide_32640_ns_per_point": 1e9 * median_time(
+        lambda: airy_pair(wide)) / wide.size}
+for name, cdf in (("tw_gue_cdf", fredholm.tw_gue_cdf),
+                  ("goe2_cdf", fredholm.goe2_cdf)):
+    cdf(0.0)
+    out[name] = {"ms_at_0": 1e3 * median_time(lambda: cdf(0.0))}
 print(json.dumps(out))
 """
 
@@ -135,16 +173,30 @@ def pairs_won(runs, metrics):
     return won
 
 
-def traced_run(checkout, workload, seconds):
-    """Per-layer metrics of one `--trace 1` run at seed SEED0."""
-    _, result = run_once(checkout, workload, SEED0, seconds, trace=1)
-    return {"attempted": result["attempted"], "failed": result["failed"],
+def traced_run(checkout, workload, seed, seconds):
+    """Per-layer metrics of one `--trace 1` run."""
+    _, result = run_once(checkout, workload, seed, seconds, trace=1)
+    return {"seed": seed, "attempted": result["attempted"],
+            "failed": result["failed"],
             "metrics": {name: metric["value"]
                         for name, metric in result["metrics"].items()}}
 
 
+def traced_summary(runs):
+    """Each per-layer metric's median over the traced runs of one side."""
+    return {"median": {name: statistics.median(r["metrics"][name]
+                                               for r in runs)
+                       for name in runs[0]["metrics"]},
+            "runs": runs}
+
+
+def side_order(sides, i):
+    """The sides in run order for pair i: the first side alternates."""
+    return list(sides) if i % 2 == 0 else list(sides)[::-1]
+
+
 def layer_run(checkout):
-    """Draw and update nanoseconds per cell at LAYER_POINTS in a checkout."""
+    """The sampler's and the laws' layer costs in a checkout."""
     proc = subprocess.run(
         [sys.executable, "-c", LAYER_PROBE,
          json.dumps([LAYER_POINTS, LAYER_REPEATS, SEED0])],
@@ -163,8 +215,7 @@ def main(argv=None):
     for workload in (w["name"] for w in bench["workloads"]):
         runs = {side: [] for side in sides}
         for i in range(PAIRS):
-            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-            for side in order:
+            for side in side_order(sides, i):
                 facts, result = run_once(sides[side], workload, SEED0 + i,
                                          bench["run_seconds"])
                 runs[side].append(dict(result, facts=facts))
@@ -175,9 +226,13 @@ def main(argv=None):
             side: summarize(runs[side], names) for side in sides}
         record["workloads"][workload]["pairs_won"] = pairs_won(
             runs, bench["end_to_end"])
+        traced = {side: [] for side in sides}
+        for i in range(TRACED_RUNS):
+            for side in side_order(sides, i):
+                traced[side].append(traced_run(
+                    sides[side], workload, SEED0 + i, bench["run_seconds"]))
         record["workloads"][workload]["traced"] = {
-            side: traced_run(sides[side], workload, bench["run_seconds"])
-            for side in sides}
+            side: traced_summary(traced[side]) for side in sides}
     record["layers"] = {side: layer_run(sides[side]) for side in sides}
     record["machine"] = {k: v for k, v in runs["change"][0]["facts"].items()
                          if k not in ("seed", "src_lines")}
