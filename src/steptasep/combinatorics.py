@@ -25,7 +25,6 @@ means "stay", entry 0 means "try to hop".
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -239,11 +238,6 @@ def first_column_identity(bits):
 # Row-prefix enumeration
 # ---------------------------------------------------------------------------
 
-# Stored for a tableau whose code does not fit 64 bits. Tableaux with
-# entries in 1..4 and at most 4 rows and 16 cells have codes below 2**52.
-_NO_CODE = (1 << 64) - 1
-
-
 def walk_row_prefixes(n_rows, n_cols, start, step, bottom_up=False):
     """Yield (code, state) for every n_rows x n_cols 01 matrix.
 
@@ -310,13 +304,18 @@ def _normal_row(rows, row):
 
 
 def normal_tableau_codes(n_rows, n_cols):
-    """array('Q') indexed by matrix code: tableau_code of the normal RSK
-    tableau of the reversed column word, which reads the rows bottom to
-    top, so one bottom-up walk over row prefixes builds them all."""
+    """List indexed by matrix code: tableau_code of the normal RSK tableau
+    of the reversed column word, which reads the rows bottom to top, so
+    one bottom-up walk over row prefixes builds them all. A list holds a
+    code of any size, as a broken insertion can make. Beyond 4x4 an entry
+    above 4 would make codes collide, so such sizes are refused."""
+    if n_rows > 4 or n_cols > 4:
+        raise ValueError(f"{n_rows}x{n_cols}: tableau codes are exact up "
+                         "to 4x4 only")
     walk = walk_row_prefixes(n_rows, n_cols, [], _normal_row, bottom_up=True)
-    codes = array("Q", [0]) * (1 << (n_rows * n_cols))
+    codes = [0] * (1 << (n_rows * n_cols))
     for code, rows in walk:
-        codes[code] = min(tableau_code(rows), _NO_CODE)
+        codes[code] = tableau_code(rows)
     return codes
 
 

@@ -257,6 +257,9 @@ def run_simulate(cfg):
     if any(label != 1 for label in cfg.defects):
         raise ValueError(f"simulate puts the defect on particle 1; "
                          f"got defects {list(cfg.defects)}")
+    if cfg.defects and (cfg.qbar is None or cfg.qbar <= cfg.q):
+        raise ValueError(f"defects {list(cfg.defects)} need a qbar above "
+                         f"q = {cfg.q}; got qbar {cfg.qbar!r}")
     exp = _scaled_experiment(cfg)
     law_name = exp.target_law
     if law_name not in LAW_NAMES:

@@ -345,8 +345,11 @@ class TestRowPrefixWalk:
     def test_enumeration_guard(self):
         with pytest.raises(ValueError):
             comb.walk_row_prefixes(5, 5, (), None)
-        with pytest.raises(ValueError):
-            comb.normal_tableau_codes(5, 5)
+        # (1, 5), (4, 5) and (5, 4) pass the cell guard, but an entry
+        # above 4 collides: tableau_code([[5]]) == tableau_code([[1], [5]])
+        for n_rows, n_cols in ((5, 5), (1, 5), (4, 5), (5, 4)):
+            with pytest.raises(ValueError):
+                comb.normal_tableau_codes(n_rows, n_cols)
 
 
 class TestSampling:

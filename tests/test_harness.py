@@ -247,6 +247,15 @@ class TestSimulateRunner:
             harness.run_simulate(cfg)
         harness.run_simulate(self._config(tmp_path / "ok", defects=[1], **over))
 
+    @pytest.mark.parametrize("qbar", [None, 0.05, 0.1])
+    def test_defect_without_slower_qbar_rejected(self, tmp_path, qbar):
+        # without a qbar above q the region samples uniform rates, and the
+        # defect would be dropped without a word
+        cfg = self._config(tmp_path / "run", defects=[1], qbar=qbar)
+        with pytest.raises(ValueError, match=r"defects.*qbar"):
+            harness.run_simulate(cfg)
+        assert not (tmp_path / "run").exists()
+
     def test_horizon_beyond_whole_block_budget_runs(self, tmp_path,
                                                     monkeypatch):
         # t = 80 steps of 40 particles is more raw words than the patched

@@ -76,6 +76,19 @@ class TestAiryAccuracy:
             a, p = airy_pair(float(x))
             assert a == ai[i] and p == aip[i]
 
+    def test_nan_comes_back_as_nan(self):
+        # NaN meets no route; it must not pick up stale memory, and the
+        # other entries, one per route, keep their own values
+        assert all(math.isnan(v) for v in airy_pair(math.nan))
+        assert np.isnan(airy_ai(np.full(4, np.nan))).all()
+        xs = np.array([np.nan, -9.5, np.nan, -1.0, 4.5, np.nan])
+        ai, aip = airy_pair(xs)
+        nan = np.isnan(xs)
+        assert np.isnan(ai[nan]).all() and np.isnan(aip[nan]).all()
+        ref_ai, ref_aip = airy_pair(xs[~nan])
+        assert np.array_equal(ai[~nan], ref_ai)
+        assert np.array_equal(aip[~nan], ref_aip)
+
     def test_positive_axis_monotone_decay(self):
         grid = np.linspace(0.0, 15.0, 301)
         vals = airy_ai(grid)
