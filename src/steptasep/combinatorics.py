@@ -12,10 +12,10 @@ the geometric-entry variant) live with the tests (tests/oracles.py).
 
 The three row-recursive routines (the tagged dynamics, the left-down DP and
 dual RSK) are each a fold of one row step, and normal RSK of the reversed
-column word is a fold over the rows bottom-up. walk_row_prefixes enumerates
-the matrices of one size depth-first over row prefixes, so matrices that
-share their first k rows share the state after them and each tree node does
-one row of work; the exhaustive identity suite runs on it.
+column word is a fold over the rows bottom-up. fold_rows folds one such
+step over every matrix of a size level by level: each distinct state is
+stepped once per row value, and each matrix gets the id of its final
+state. The exhaustive identity suite folds the four steps this way.
 
 Conventions. A matrix is a tuple of N row-tuples of length M with entries in
 {0, 1}. Column c (0-based) carries the stay indicators of particle M - c
@@ -25,6 +25,7 @@ means "stay", entry 0 means "try to hop".
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -235,88 +236,44 @@ def first_column_identity(bits):
 
 
 # ---------------------------------------------------------------------------
-# Row-prefix enumeration
+# Folding one row step over every matrix of a size
 # ---------------------------------------------------------------------------
 
-def walk_row_prefixes(n_rows, n_cols, start, step, bottom_up=False):
-    """Yield (code, state) for every n_rows x n_cols 01 matrix.
+def fold_rows(n_rows, n_cols, start, step, bottom_up=False):
+    """Fold step(state, row) over the rows of every n_rows x n_cols matrix.
 
-    code is the matrix's index in all_matrices (bit r*M + c is entry
-    (r, c)), and state folds step(state, row) over its rows from start,
-    top row first, or bottom row first when bottom_up. step returns a new
-    state and leaves its argument as it was. The walk is depth-first over
-    row prefixes: matrices that share the rows read so far share the state
-    after them, so each tree node costs one step, not one per matrix.
+    Returns (ids, states): states[ids[code]] is step folded from start over
+    the rows of the matrix with index code in all_matrices (bit r*M + c is
+    entry (r, c)), top row first, or bottom row first when bottom_up. States
+    must be hashable and step must not change its argument. The fold goes
+    level by level, and each distinct state is stepped once per row value,
+    so matrices whose rows read so far lead to equal states share all the
+    work after them.
     """
     if n_rows * n_cols > ENUMERATION_CELL_LIMIT:
         raise ValueError(f"{n_rows}x{n_cols} exceeds the enumeration guard")
     rows = [tuple((v >> c) & 1 for c in range(n_cols))
             for v in range(1 << n_cols)]
-    shifts = [r * n_cols for r in range(n_rows)]
-    if bottom_up:
-        shifts.reverse()
-
-    def visit(depth, code, state):
-        if depth == n_rows:
-            yield code, state
-            return
-        for v, row in enumerate(rows):
-            yield from visit(depth + 1, code | v << shifts[depth],
-                             step(state, row))
-
-    return visit(0, 0, start)
-
-
-def _chain_row(state, row):
-    sites, best, p_rows = state
-    p_rows = [r[:] for r in p_rows]
-    _dual_row(p_rows, row)
-    return _tagged_row(sites, row), _left_down_row(best, row), p_rows
-
-
-def chain_walk(n_rows, n_cols):
-    """Yield (code, stays, path_max, p) for every n_rows x n_cols matrix:
-    the tagged particle's stay count, the left-down maximum and the dual
-    insertion tableau, all from one top-down walk over row prefixes."""
-    start = (list(range(n_cols - 1, -1, -1)), [0] * n_cols, [])
-    for code, (sites, best, p_rows) in walk_row_prefixes(
-            n_rows, n_cols, start, _chain_row):
-        yield code, n_rows - sites[-1], max(best, default=0), p_rows
-
-
-def tableau_code(rows):
-    """Exact integer code of a tableau with entries in 1..4 and rows of at
-    most 31 cells: row by row, each entry minus 1 in 2 bits, then the row
-    length in 5 bits. Read from the low end, the nonzero lengths tell
-    where each row starts and where the tableau ends."""
-    code = 0
-    for row in rows:
-        for x in row:
-            code = code << 2 | (x - 1)
-        code = code << 5 | len(row)
-    return code
+    index = {start: 0}  # state -> id, in order of discovery
+    table = []  # table[i][v]: id of step(state i, row v)
+    ids = [0]
+    for _ in range(n_rows):
+        for state in list(index)[len(table):]:
+            table.append([index.setdefault(step(state, row), len(index))
+                          for row in rows])
+        kind = "H" if len(index) <= 1 << 16 else "I"
+        if bottom_up:  # the row read now is the top one: code = code*2^M + v
+            ids = array(kind, (j for i in ids for j in table[i]))
+        else:  # the row read now is the bottom one: code += v * 2^(k*M)
+            ids = array(kind, (table[i][v] for v in range(len(rows))
+                               for i in ids))
+    return ids, list(index)
 
 
 def _normal_row(rows, row):
     """Normal-insert the column indices of one matrix row, right to left,
     into a copy of rows."""
-    return normal_rsk(column_word((row,))[::-1], [r[:] for r in rows])
-
-
-def normal_tableau_codes(n_rows, n_cols):
-    """List indexed by matrix code: tableau_code of the normal RSK tableau
-    of the reversed column word, which reads the rows bottom to top, so
-    one bottom-up walk over row prefixes builds them all. A list holds a
-    code of any size, as a broken insertion can make. Beyond 4x4 an entry
-    above 4 would make codes collide, so such sizes are refused."""
-    if n_rows > 4 or n_cols > 4:
-        raise ValueError(f"{n_rows}x{n_cols}: tableau codes are exact up "
-                         "to 4x4 only")
-    walk = walk_row_prefixes(n_rows, n_cols, [], _normal_row, bottom_up=True)
-    codes = [0] * (1 << (n_rows * n_cols))
-    for code, rows in walk:
-        codes[code] = tableau_code(rows)
-    return codes
+    return normal_rsk(column_word((row,))[::-1], [list(r) for r in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,11 @@ class ExperimentConfig:
                 math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, "
                              f"got {self.tolerance!r}")
+        for name in ("q", "qbar"):
+            rate = getattr(self, name)
+            if rate is not None and not 0 <= rate < 1:  # NaN fails too
+                raise ValueError(f"{name} must be a stay rate in [0, 1), "
+                                 f"got {rate!r}")
         if self.law is not None and self.law not in LAW_NAMES:
             raise ValueError(f"unknown law {self.law!r}; "
                              f"choose from {LAW_NAMES}")
@@ -338,23 +343,53 @@ def run_kernel_eval(cfg):
 
 # -- verification suites ----------------------------------------------------
 
+# The row steps of the identity chain on tuples, so fold_rows can share
+# states; each looks its routine up in comb at call time.
+def _tagged_step(sites, row):
+    return tuple(comb._tagged_row(sites, row))
+
+
+def _left_down_step(best, row):
+    return tuple(comb._left_down_row(best, row))
+
+
+def _dual_step(p, row):
+    p = [list(r) for r in p]
+    comb._dual_row(p, row)
+    return tuple(map(tuple, p))
+
+
+def _normal_step(rows, row):
+    return tuple(map(tuple, comb._normal_row(rows, row)))
+
+
 def _suite_combinatorial():
     """Exhaustive identities on every 01 matrix with up to 4 rows/columns:
     stay count equals the left-down passage maximum, the first column of
     the insertion tableau matches it, and the transposed dual insertion
     tableau equals the plain insertion tableau of the reversed column
-    word. Each size is walked depth-first over row prefixes, top-down for
-    the dynamics, the passage DP and dual RSK, bottom-up for the plain
-    insertion, whose tableaux are kept as codes indexed by matrix."""
+    word. Each of the four is folded over every matrix of a size on its
+    own, top-down for the dynamics, the passage DP and dual RSK, bottom-up
+    for the plain insertion; each distinct state is stepped once."""
     cases = failures = 0
     for n_rows in range(1, 5):
         for n_cols in range(1, 5):
-            normal = comb.normal_tableau_codes(n_rows, n_cols)
-            for code, stays, path_max, p in comb.chain_walk(n_rows, n_cols):
-                cases += 1
-                symmetric = comb.tableau_code(
-                    comb.transpose_tableau(p)) == normal[code]
-                if not (symmetric and len(p) == path_max == stays):
+            sites, sites_at = comb.fold_rows(
+                n_rows, n_cols, tuple(range(n_cols - 1, -1, -1)),
+                _tagged_step)
+            best, best_at = comb.fold_rows(n_rows, n_cols, (0,) * n_cols,
+                                           _left_down_step)
+            dual, dual_at = comb.fold_rows(n_rows, n_cols, (), _dual_step)
+            normal, normal_at = comb.fold_rows(n_rows, n_cols, (),
+                                               _normal_step, bottom_up=True)
+            stays = [n_rows - s[-1] for s in sites_at]
+            path_max = [max(b) for b in best_at]
+            dual_t = [tuple(map(tuple, comb.transpose_tableau(p)))
+                      for p in dual_at]
+            cases += len(sites)
+            for a, b, p, n in zip(sites, best, dual, normal):
+                if not (dual_t[p] == normal_at[n]
+                        and len(dual_at[p]) == path_max[b] == stays[a]):
                     failures += 1
     return failures == 0 and cases >= 65536, {
         "cases": cases, "failures": failures}

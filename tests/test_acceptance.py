@@ -25,7 +25,7 @@ second test holds the same samples to the exact law.
 
 import itertools
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -79,12 +79,30 @@ class TestExhaustiveCombinatorialIdentities:
         assert details["failures"] > 0 and not ok
 
     # bisect_left makes the plain insertion dual; always bumping the first
-    # entry gives one-column tableaux whose codes do not fit 64 bits
+    # entry gives one-column tableaux as tall as the word
     @pytest.mark.parametrize("find", [bisect_left, lambda row, x: 0],
                              ids=["dual", "first-entry"])
     def test_suite_fails_with_a_broken_normal_insertion(self, monkeypatch,
                                                         find):
         monkeypatch.setattr(harness.comb, "bisect_right", find)
+        ok, details = harness._suite_combinatorial()
+        assert details["cases"] == 74954
+        assert details["failures"] > 0 and not ok
+
+    # the states of each route are shared across matrices, so each route
+    # gets a fault of its own: none may be hidden by the sharing
+    def test_suite_fails_with_a_broken_left_down_dp(self, monkeypatch):
+        def without_suffix_max(best, row):
+            return [b + v for b, v in zip(best, row)]
+
+        monkeypatch.setattr(harness.comb, "_left_down_row",
+                            without_suffix_max)
+        ok, details = harness._suite_combinatorial()
+        assert details["cases"] == 74954
+        assert details["failures"] > 0 and not ok
+
+    def test_suite_fails_with_a_broken_dual_insertion(self, monkeypatch):
+        monkeypatch.setattr(harness.comb, "bisect_left", bisect_right)
         ok, details = harness._suite_combinatorial()
         assert details["cases"] == 74954
         assert details["failures"] > 0 and not ok

@@ -7,7 +7,6 @@ loops then prove the identities for all small sizes.
 import functools
 import itertools
 import math
-from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from steptasep import combinatorics as comb
+from steptasep import harness
 
 # (row, column) positions of the ones, 1-based, in the worked example.
 EXAMPLE_ONES = {
@@ -264,38 +264,39 @@ def matrix_code(bits):
 
 
 @functools.lru_cache(maxsize=None)
-def walk_by_code(n_rows, n_cols):
-    """Flat arrays indexed by matrix code: the top-down walk's stay count,
-    left-down maximum, first-column length, and codes of P and of its
-    transpose; then the bottom-up walk's normal-tableau code."""
-    size = 1 << (n_rows * n_cols)
-    out = [array("B", bytes(size)) for _ in range(3)] + \
-        [array("Q", [0]) * size for _ in range(2)]
-    for code, stays, path_max, p in comb.chain_walk(n_rows, n_cols):
-        values = (stays, path_max, len(p), comb.tableau_code(p),
-                  comb.tableau_code(comb.transpose_tableau(p)))
-        for column, value in zip(out, values):
-            column[code] = value
-    return out + [comb.normal_tableau_codes(n_rows, n_cols)]
+def suite_folds(n_rows, n_cols):
+    """(ids, states) of the exhaustive suite's four folds: the tagged
+    dynamics, the left-down DP and dual RSK top-down, normal RSK bottom-up."""
+    return (
+        comb.fold_rows(n_rows, n_cols, tuple(range(n_cols - 1, -1, -1)),
+                       harness._tagged_step),
+        comb.fold_rows(n_rows, n_cols, (0,) * n_cols,
+                       harness._left_down_step),
+        comb.fold_rows(n_rows, n_cols, (), harness._dual_step),
+        comb.fold_rows(n_rows, n_cols, (), harness._normal_step,
+                       bottom_up=True))
 
 
-def assert_walk_agrees(bits):
+def as_tuples(rows):
+    return tuple(map(tuple, rows))
+
+
+def assert_folds_agree(bits):
     code = matrix_code(bits)
-    stays, path_max, first_col, p, p_t, normal = (
-        column[code] for column in walk_by_code(len(bits), len(bits[0])))
-    want_p, _q = comb.dual_rsk(bits)
-    assert stays == comb.trajectory_from_matrix(bits)[1]
-    assert path_max == comb.longest_left_down_path(bits)
-    assert first_col == comb.first_column_identity(bits)[0]
-    assert p == comb.tableau_code(want_p)
-    assert p_t == comb.tableau_code(comb.transpose_tableau(want_p))
-    assert normal == comb.tableau_code(
-        comb.normal_rsk(comb.column_word(bits)[::-1]))
+    sites, best, p, normal = (
+        states[ids[code]]
+        for ids, states in suite_folds(len(bits), len(bits[0])))
+    assert len(bits) - sites[-1] == comb.trajectory_from_matrix(bits)[1]
+    assert max(best) == comb.longest_left_down_path(bits)
+    assert p == as_tuples(comb.dual_rsk(bits)[0])
+    assert normal == as_tuples(comb.normal_rsk(
+        comb.column_word(bits)[::-1]))
 
 
-class TestRowPrefixWalk:
-    def test_each_code_visited_once_with_its_rows(self):
-        # the state is the tuple of rows read, in reading order
+class TestFoldRows:
+    def test_index_order_in_both_directions(self):
+        # the state is the tuple of rows read, in reading order: no two
+        # prefixes share it, so every prefix is a state of its own
         def read(state, row):
             return state + (row,)
 
@@ -303,53 +304,51 @@ class TestRowPrefixWalk:
             for n_cols in range(1, 5):
                 everything = list(comb.all_matrices(n_rows, n_cols))
                 for bottom_up in (False, True):
-                    walk = list(comb.walk_row_prefixes(
-                        n_rows, n_cols, (), read, bottom_up))
-                    assert sorted(code for code, _ in walk) == \
-                        list(range(1 << (n_rows * n_cols)))
-                    for code, rows in walk:
-                        want = everything[code]
-                        assert rows == (want[::-1] if bottom_up else want)
-                codes = [c for c, *_ in comb.chain_walk(n_rows, n_cols)]
-                assert sorted(codes) == list(range(len(everything)))
+                    ids, states = comb.fold_rows(n_rows, n_cols, (), read,
+                                                 bottom_up)
+                    assert len(ids) == len(everything)
+                    assert [states[i] for i in ids] == [
+                        bits[::-1] if bottom_up else bits
+                        for bits in everything]
+                    assert len(states) == sum(
+                        1 << (k * n_cols) for k in range(n_rows + 1))
 
-    def test_walk_agrees_with_scalar_routines_to_three_by_three(self):
+    def test_folds_agree_with_scalar_routines_to_three_by_three(self):
         for n_rows in range(1, 4):
             for n_cols in range(1, 4):
                 for bits in comb.all_matrices(n_rows, n_cols):
-                    assert_walk_agrees(bits)
+                    assert_folds_agree(bits)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=16, max_size=16))
-    def test_walk_agrees_with_scalar_routines_at_four_by_four(self, cells):
-        assert_walk_agrees(tuple(tuple(cells[4 * r:4 * r + 4])
+    def test_folds_agree_with_scalar_routines_at_four_by_four(self, cells):
+        assert_folds_agree(tuple(tuple(cells[4 * r:4 * r + 4])
                                  for r in range(4)))
 
-    def test_normal_tableaux_of_the_bottom_up_walk(self):
-        for n_rows in range(1, 4):
-            for n_cols in range(1, 4):
-                everything = list(comb.all_matrices(n_rows, n_cols))
-                for code, rows in comb.walk_row_prefixes(
-                        n_rows, n_cols, [], comb._normal_row, bottom_up=True):
-                    assert rows == comb.normal_rsk(
-                        comb.column_word(everything[code])[::-1])
+    @pytest.mark.parametrize("step, bottom_up", [
+        (harness._dual_step, False), (harness._normal_step, True)])
+    def test_step_runs_once_per_state_and_row(self, step, bottom_up):
+        calls = []
 
-    def test_tableau_code_is_exact_at_four_by_four(self):
-        tableaux = {tuple(map(tuple, comb.normal_rsk(
-            comb.column_word(bits)[::-1])))
-            for bits in comb.all_matrices(4, 4)}
-        codes = {comb.tableau_code(t) for t in tableaux}
-        assert len(codes) == len(tableaux)
-        assert max(codes) < 2 ** 52
+        def counted(state, row):
+            calls.append((state, row))
+            return step(state, row)
+
+        ids, states = comb.fold_rows(4, 4, (), counted, bottom_up)
+        assert len(set(calls)) == len(calls)
+        assert len(calls) <= 16 * len(states)
+        # against one step per row prefix: 16 + 16^2 + 16^3 + 16^4
+        assert len(calls) < 69904 // 2
+        assert len(ids) == 1 << 16
 
     def test_enumeration_guard(self):
-        with pytest.raises(ValueError):
-            comb.walk_row_prefixes(5, 5, (), None)
-        # (1, 5), (4, 5) and (5, 4) pass the cell guard, but an entry
-        # above 4 collides: tableau_code([[5]]) == tableau_code([[1], [5]])
-        for n_rows, n_cols in ((5, 5), (1, 5), (4, 5), (5, 4)):
-            with pytest.raises(ValueError):
-                comb.normal_tableau_codes(n_rows, n_cols)
+        for n_rows, n_cols in ((5, 5), (4, 6), (23, 1)):
+            with pytest.raises(ValueError, match="enumeration guard"):
+                comb.fold_rows(n_rows, n_cols, (), None)
+        # entries above 4 need no code: the word 5 4 3 2 1 is one column
+        ids, states = comb.fold_rows(1, 5, (), harness._normal_step)
+        assert len(ids) == 32
+        assert states[ids[-1]] == ((1,), (2,), (3,), (4,), (5,))
 
 
 class TestSampling:

@@ -47,6 +47,37 @@ class TestConfig:
             harness.config_from_dict({"mode": "simulate",
                                       "tolerance": tolerance})
 
+    # a config each mode runs, were the rate valid; fig3 once wrote
+    # onset,nan for q = NaN and onset,-2.0 for q = 1.5 and exited 0
+    RUNNABLE = {
+        "simulate": dict(m=10, region="R2", u=2.0, n_samples=10,
+                         master_seed=1),
+        "exact-dist": dict(m=3, times=[5], defects=[1]),
+        "fig2": dict(m=10, horizon=20, defects=[1]),
+        "fig3": {},
+        "fig8": dict(m=10, n_samples=10),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(RUNNABLE))
+    @pytest.mark.parametrize("field, rate", [
+        ("q", float("nan")), ("q", 1.5), ("q", -0.5), ("q", float("inf")),
+        ("qbar", float("nan")), ("qbar", 1.0)])
+    def test_bad_stay_rates_rejected_in_every_mode(self, tmp_path, mode,
+                                                    field, rate):
+        data = dict(self.RUNNABLE[mode], q=0.1, qbar=0.2)
+        data[field] = rate
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be a stay rate in"):
+            harness.run(harness.resolve_config(
+                mode, config_path=path, out=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
+    def test_stay_rate_zero_accepted(self):
+        cfg = harness.config_from_dict({"mode": "fig3", "q": 0, "qbar": 0.0})
+        assert cfg.q == 0.0 and cfg.qbar == 0.0
+
     def test_law_names_in_kernel_eval_order(self):
         assert harness.LAW_NAMES == ("tw-gue", "goe-squared", "gaussian")
 

@@ -30,7 +30,10 @@ that checkout's `src/`:
 - the nanoseconds per `airy_pair` point on the 80 Gauss-Legendre nodes of
   the refined Nystrom window on (0, 20] and on 32,640 points over
   [-3, 45], and the milliseconds per `tw_gue_cdf(0)` and `goe2_cdf(0)`
-  after one warm-up call, each the median of LAYER_REPEATS timings.
+  after one warm-up call, each the median of LAYER_REPEATS timings;
+- the milliseconds per `harness._suite_combinatorial()` call, the
+  exhaustive 01-matrix identities of verify, as the median of
+  LAYER_REPEATS calls.
 Standard library only.
 """
 
@@ -50,12 +53,13 @@ TRACED_RUNS = 3
 
 # Run in a checkout's root; prints one JSON line mapping each point,
 # "M=..,samples=..,t=..", to its draw_ns_per_cell and update_ns_per_cell,
-# "airy_pair" to its two per-point costs and each law to ms_at_0.
+# "airy_pair" to its two per-point costs, each law to ms_at_0 and
+# "combinatorial_suite" to ms_per_call.
 LAYER_PROBE = """
 import json, statistics, sys, time
 sys.path.insert(0, "src")
 import numpy as np
-from steptasep import fredholm, system
+from steptasep import fredholm, harness, system
 from steptasep.limit_kernels.special import airy_pair
 
 points, repeats, seed = json.loads(sys.argv[1])
@@ -112,6 +116,8 @@ for name, cdf in (("tw_gue_cdf", fredholm.tw_gue_cdf),
                   ("goe2_cdf", fredholm.goe2_cdf)):
     cdf(0.0)
     out[name] = {"ms_at_0": 1e3 * median_time(lambda: cdf(0.0))}
+out["combinatorial_suite"] = {
+    "ms_per_call": 1e3 * median_time(harness._suite_combinatorial)}
 print(json.dumps(out))
 """
 
