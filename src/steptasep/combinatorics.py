@@ -25,7 +25,6 @@ means "stay", entry 0 means "try to hop".
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -261,12 +260,10 @@ def fold_rows(n_rows, n_cols, start, step, bottom_up=False):
         for state in list(index)[len(table):]:
             table.append([index.setdefault(step(state, row), len(index))
                           for row in rows])
-        kind = "H" if len(index) <= 1 << 16 else "I"
         if bottom_up:  # the row read now is the top one: code = code*2^M + v
-            ids = array(kind, (j for i in ids for j in table[i]))
+            ids = [j for i in ids for j in table[i]]
         else:  # the row read now is the bottom one: code += v * 2^(k*M)
-            ids = array(kind, (table[i][v] for v in range(len(rows))
-                               for i in ids))
+            ids = [table[i][v] for v in range(len(rows)) for i in ids]
     return ids, list(index)
 
 
