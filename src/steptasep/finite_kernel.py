@@ -59,7 +59,7 @@ from .combinatorics import (
     complete_homogeneous,
     elementary_symmetric,
 )
-from .fredholm import _integer, det_discrete
+from .fredholm import _integer, checked_probability, det_discrete
 
 
 def integer_binomial(a, k):
@@ -258,12 +258,12 @@ def joint_probability(times, levels, rates, exact=False):
     there must be at least one particle. `rates` may also be a FiniteKernel,
     whose Psi caches then carry over between calls. With exact=True and
     rational rates the value is a Fraction with no rounding at all. The
-    float route is accurate to about 1e-12 absolute and is clipped into
-    [0, 1]; deep tails need exact=True.
+    float route is accurate to about 1e-12 absolute and is range-checked
+    by fredholm.checked_probability; deep tails need exact=True.
     """
     kern = rates if isinstance(rates, FiniteKernel) else FiniteKernel(rates)
     blocks, impossible = _windows(times, levels, kern)
     if impossible:
         return Fraction(0) if exact else 0.0
     p = det_discrete(partial(kern.block, exact=exact), blocks, exact)
-    return p if exact else min(max(p, 0.0), 1.0)
+    return p if exact else checked_probability(p)

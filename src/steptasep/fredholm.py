@@ -1,16 +1,15 @@
 """Fredholm determinant engine and reference distribution laws.
 
-One block assembler, det_discrete, builds every matrix I - K and takes its
-determinant: K is given block by block between windows of points, in floats
-(LU) or, for the exact finite-size law, in Fractions.  The onset law
-region1_prob is one such determinant, of the discrete Hermite kernel.
-Continuous determinants det(I - K) over products of half-lines (s_j, inf)
-use Nystrom discretization: Gauss-Legendre nodes on the truncated windows
-(s_j, s_j + LCUT] are the points, and the blocks are the symmetrized
-sqrt(w) K sqrt(w).  Every evaluation is performed twice, the second time with
-doubled order and window length; if the two disagree beyond TOL, or the
-result is NaN or leaves [0, 1] by TOL, the evaluation refuses to return a
-number.
+Every probability takes one path: kernel blocks, det_discrete, and for a
+float the one range check checked_probability.  det_discrete builds every
+matrix I - K block by block between windows of points, in floats (LU) or,
+for the exact finite-size law, in Fractions.  The onset law region1_prob
+is one such determinant.  Continuous determinants over products of
+half-lines (s_j, inf) use Nystrom discretization: Gauss-Legendre nodes on
+the truncated windows (s_j, s_j + LCUT] are the points, the blocks are the
+symmetrized sqrt(w) K sqrt(w), and doubling order and window length must
+move the value by less than TOL.  A NaN, or a value outside [0, 1] by more
+than TOL, raises; a value within TOL is clipped into [0, 1].
 
 The reference laws used by the statistics harness, one LAWS entry each,
 are tabulated once on law-specific grids whose ends carry less than 1e-6 of
@@ -35,7 +34,7 @@ from .limit_kernels.kernels import (
     _leggauss,
     extended_airy_block,
     kernel_K3_block,
-    kernel_region1,
+    kernel_region1_block,
 )
 
 # largest refined Nystrom matrix det_continuous will build, in bytes
@@ -59,14 +58,21 @@ class RefinementError(RuntimeError):
 
 
 class ProbabilityRangeError(RuntimeError):
-    """Raised when a stable determinant is NaN or leaves [0, 1] by TOL."""
+    """Raised when a determinant is NaN or leaves [0, 1] by more than TOL."""
 
-    def __init__(self, coarse, refined, tol):
+    def __init__(self, refined, coarse=None):
         super().__init__(
-            f"determinant is not a probability: refined {refined!r}, "
-            f"coarse {coarse!r}, outside [0, 1] by more than {tol!r}")
+            f"determinant is not a probability: {refined!r}, "
+            f"outside [0, 1] by more than {TOL!r}")
         self.coarse = coarse
         self.refined = refined
+
+
+def checked_probability(value, coarse=None):
+    """Clip a float determinant within TOL of [0, 1] into it, or raise."""
+    if not -TOL <= value <= 1.0 + TOL:  # NaN fails too
+        raise ProbabilityRangeError(value, coarse)
+    return 0.0 if value < 0.0 else min(value, 1.0)
 
 
 def det_discrete(block, windows, exact=False):
@@ -117,8 +123,8 @@ def det_continuous(block, taus, esses):
 
     `block(t1, xs1, t2, xs2)` returns the kernel matrix between node
     arrays.  The value is accepted only if doubling both the node count
-    and the window length moves it by less than TOL, and only if it lies
-    in [0, 1] up to TOL; a NaN is never returned.  Thresholds so
+    and the window length moves it by less than TOL, and only through
+    checked_probability, so a NaN is never returned.  Thresholds so
     negative that the refined matrix would outgrow MATRIX_BYTES are
     rejected before any kernel evaluation.
     """
@@ -136,9 +142,7 @@ def det_continuous(block, taus, esses):
     refined = _det_once(block, taus, esses, 2.0 * LCUT, 2 * ORDER)
     if abs(coarse - refined) >= TOL:
         raise RefinementError(coarse, refined, TOL)
-    if not -TOL <= refined <= 1.0 + TOL:
-        raise ProbabilityRangeError(coarse, refined, TOL)
-    return refined
+    return checked_probability(refined, coarse)
 
 
 def tw_gue_cdf(s):
@@ -162,20 +166,16 @@ def _integer(value, name):
 
 
 def region1_prob(taus, levels):
-    """P(all onset distances >= l_j) as a finite determinant det(I - K)
-    on the windows {0..l_j-1}; times must be finite, levels integers.
-    The float is clipped into [0, 1]: deep tails round to tiny negatives."""
+    """P(all onset distances >= l_j) as det(I - K) on the windows
+    {0..l_j-1}; times must be finite, levels integers.  Wide windows at
+    large times lose the float to cancellation and raise instead."""
     if len(taus) != len(levels):
         raise ValueError("times and levels must align")
     if not all(math.isfinite(tau) for tau in taus):
         raise ValueError(f"times must be finite: {list(taus)}")
     windows = [(tau, range(max(0, _integer(ell, "level"))))
                for tau, ell in zip(taus, levels)]
-    p = det_discrete(
-        lambda t1, xs1, t2, xs2: [[kernel_region1(t1, x1, t2, x2)
-                                   for x2 in xs2] for x1 in xs1],
-        windows)
-    return min(max(p, 0.0), 1.0)
+    return checked_probability(det_discrete(kernel_region1_block, windows))
 
 
 def gaussian_r4_cdf(s):
@@ -238,4 +238,4 @@ def reference_law(name):
     cdf, lo, hi = LAWS[name]
     grid = np.arange(lo, hi + _GRID_STEP / 2.0, _GRID_STEP)
     values = np.array([cdf(float(s)) for s in grid])
-    return ReferenceLaw(name=name, grid=grid, values=np.clip(values, 0.0, 1.0))
+    return ReferenceLaw(name=name, grid=grid, values=values)

@@ -120,6 +120,8 @@ class ExperimentConfig:
             if rate is not None and not 0 <= rate < 1:  # NaN fails too
                 raise ValueError(f"{name} must be a stay rate in [0, 1), "
                                  f"got {rate!r}")
+        if not all(0 <= s < math.inf for s in self.strengths):
+            raise ValueError("strengths must be finite and nonnegative")
         if self.law is not None and self.law not in LAW_NAMES:
             raise ValueError(f"unknown law {self.law!r}; "
                              f"choose from {LAW_NAMES}")

@@ -1,8 +1,9 @@
 """The four limiting kernels.
 
-All continuous kernels expose a block form K(tau1, xis1, tau2, xis2)
-returning the matrix K[a, b] over node arrays, which is what the Nystrom
-determinant engine consumes; a single entry is a one-point block.
+Every kernel has one block form K(tau1, xs1, tau2, xs2), the matrix
+K[a, b] between two point arrays (Nystrom nodes, or integer windows for the
+discrete Hermite kernel), which the determinant engine consumes; a single
+entry is a one-point block.
 
 The critical family, the extended Airy kernel plus sum_j I_j x J_j with
 one term per slow particle ahead of the tagged one, has one body: K2 is
@@ -19,7 +20,7 @@ where the second term is the closed-form whole-line integral; this replaces
 the oscillatory integral over (-inf, 0] with a smooth positive integrand
 plus an explicit Gaussian-type correction.  The discrete Hermite kernel
 uses the analogous re-summation, with the whole-line lattice sum collapsing
-to a Poisson-type propagator dt^(x2-x1)/(x2-x1)!.
+to a Poisson-type propagator dt^(x2-x1)/(x2-x1)!, one recurrence per block.
 
 Each border integral I_j has one route, a descending V contour (for K3,
 I_1 is the Laplace complement of Ai).
@@ -159,7 +160,7 @@ def kernel_K3prime_block(tau1, xis1, tau2, xis2, etas):
     """Critical-family kernel: extended Airy plus sum_j I_j x J_j, one term
     per strength.  Equal times: (Ai(x)Ai'(y) - Ai'(x)Ai(y))/(x - y), and
     Ai'(x)^2 - x Ai(x)^2 at x = y, from the ladder that gives every J_j."""
-    if any(e < 0 for e in etas):
+    if not all(e >= 0 for e in etas):  # NaN fails too
         raise ValueError("defect strengths must be nonnegative")
     xis1 = np.atleast_1d(np.asarray(xis1, dtype=float))
     xis2 = np.atleast_1d(np.asarray(xis2, dtype=float))
@@ -266,7 +267,7 @@ def kernel_Kn_block(tau1, xis1, tau2, xis2, eps, step=0.05, half_width=8.0):
     axis, and is taken by the trapezoidal rule.
     """
     eps = [float(e) for e in eps]
-    if not eps or any(e < 0 for e in eps):
+    if not eps or not all(e >= 0 for e in eps):
         raise ValueError("needs a nonempty list of nonnegative strengths")
     xis1 = np.atleast_1d(np.asarray(xis1, dtype=float))
     xis2 = np.atleast_1d(np.asarray(xis2, dtype=float))
@@ -309,26 +310,23 @@ def kernel_Kn_block(tau1, xis1, tau2, xis2, eps, step=0.05, half_width=8.0):
     return block
 
 
-def phi_poisson(x1, x2, dt):
-    """Whole-line collapse of the lattice weight pairing: dt^k/k!."""
-    k = x2 - x1
-    if k < 0:
-        return 0.0
-    return float(dt) ** k / math.factorial(k)
-
-
-def kernel_region1(tau1, x1, tau2, x2):
-    """Discrete Hermite kernel at the onset of motion (integer positions).
-
-    Equal and backward time orderings are the finite sum over the shared
-    lattice shift; the forward ordering subtracts the Poisson propagator
-    that re-sums the conditionally convergent tail.
-    """
-    total = 0.0
-    if x2 >= 0:
-        h = psi2_sequence(x2, tau2)
-        for m in range(0, x2 + 1):
-            total += psi1(x1 - m, tau1) * h[x2 - m]
+def kernel_region1_block(tau1, xs1, tau2, xs2):
+    """Discrete Hermite kernel at the onset of motion between windows of
+    integer positions: sum_{m=0..x2} psi1(x1 - m, tau1) h_{x2-m}(tau2) from
+    one psi1 per distinct argument, less for tau1 < tau2 the propagator
+    dt^(x2-x1)/(x2-x1)! that re-sums the conditionally convergent tail."""
+    xs1, xs2 = np.asarray(xs1, dtype=int), np.asarray(xs2, dtype=int)
+    out, top = np.zeros((xs1.size, xs2.size)), xs2.max()
+    if top >= 0:
+        h, base = psi2_sequence(top, tau2), xs1.min() - top
+        weights = np.array([psi1(x, tau1) for x in range(base, xs1.max() + 1)])
+        for m in range(top + 1):
+            live = xs2 >= m
+            out[:, live] += np.outer(weights[xs1 - m - base],
+                                     h[xs2[live] - m])
     if tau1 < tau2:
-        total -= phi_poisson(x1, x2, tau2 - tau1)
-    return total
+        k = xs2[None, :] - xs1[:, None]
+        steps = (tau2 - tau1) / np.arange(1, k.max() + 1)
+        poisson = np.cumprod(np.r_[1.0, steps])
+        out -= np.where(k >= 0, poisson[np.maximum(k, 0)], 0.0)
+    return out

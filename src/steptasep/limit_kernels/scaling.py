@@ -134,8 +134,8 @@ class ScaledExperiment:
             raise ValueError(f"u must be finite; got u={self.u}")
         object.__setattr__(self, "strengths",
                            tuple(float(s) for s in self.strengths))
-        if any(s < 0 for s in self.strengths):
-            raise ValueError("degeneracy strengths must be nonnegative")
+        if not all(0 <= s < math.inf for s in self.strengths):
+            raise ValueError("strengths must be finite and nonnegative")
         r, (family, _, slow) = self.region, REGION_TABLE[self.region]
         if slow and (self.qbar is None or not self.q < self.qbar < 1.0):
             raise ValueError(f"region {r} needs a defect rate qbar in (q, 1)")

@@ -22,6 +22,10 @@
 - Critical kernel: the horizontal-line route for the perturbation
   integrals I_j, and the Laplace complement of Ai by real-line quadrature,
   the independent route for the border integral I_1 at one zero strength.
+- Onset kernel: one entry of the discrete Hermite kernel as the scalar sum
+  over the lattice shift, with a psi1 call per term and the Poisson
+  propagator dt^k/k! in closed form (the reference for the package's
+  block, which shares psi1 values and builds the propagator by recurrence).
 - Stationary Gaussian process: direct two-dimensional quadrature of its
   two-time law.
 - Special functions: plain Hermite polynomials and parabolic cylinder
@@ -47,7 +51,7 @@ from steptasep.limit_kernels.kernels import (
     _paneled_rule,
     gaussian_transition,
 )
-from steptasep.limit_kernels.special import airy_ai, psi2_sequence
+from steptasep.limit_kernels.special import airy_ai, psi1, psi2_sequence
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -531,6 +535,31 @@ def airy_laplace_complement(tau, xi):
         vals = airy_ai(xi[:, None] - mu[None, :])
         out = (vals * (w * np.exp(tau * mu))) @ np.ones_like(mu)
     return float(out[0]) if scalar else out
+
+
+def phi_poisson(x1, x2, dt):
+    """Whole-line collapse of the lattice weight pairing: dt^k/k!."""
+    k = x2 - x1
+    if k < 0:
+        return 0.0
+    return float(dt) ** k / math.factorial(k)
+
+
+def kernel_region1(tau1, x1, tau2, x2):
+    """Discrete Hermite kernel entry at integer positions, term by term.
+
+    Equal and backward time orderings are the finite sum over the shared
+    lattice shift; the forward ordering subtracts the Poisson propagator
+    that re-sums the conditionally convergent tail.
+    """
+    total = 0.0
+    if x2 >= 0:
+        h = psi2_sequence(x2, tau2)
+        for m in range(0, x2 + 1):
+            total += psi1(x1 - m, tau1) * h[x2 - m]
+    if tau1 < tau2:
+        total -= phi_poisson(x1, x2, tau2 - tau1)
+    return total
 
 
 def ou_joint_cdf_quadrature(s1, s2, tau1, tau2, order=160, floor=-8.0):

@@ -1,9 +1,9 @@
 """tools/bench_record.py: its layer probe and its bookkeeping.
 
 The probe reaches into the package by name (`system._evolve`,
-`airy_pair`, `tw_gue_cdf`, `goe2_cdf`, `harness._suite_combinatorial`),
-so it is run once at a tiny sampler point; a renamed function then fails
-here rather than in a benchmark record.  The pair counting, quartiles and
+`airy_pair`, `tw_gue_cdf`, `goe2_cdf`, `harness._suite_combinatorial`,
+`region1_prob`), so it is run once at a tiny sampler point; a renamed
+function then fails here rather than in a benchmark record.  The pair counting, quartiles and
 run order are checked on hand-made runs.
 """
 
@@ -35,7 +35,7 @@ def test_layer_probe_runs_in_the_repo_root():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(out) == {"M=4,samples=2,t=16", "airy_pair", "tw_gue_cdf",
-                        "goe2_cdf", "combinatorial_suite"}
+                        "goe2_cdf", "combinatorial_suite", "region1_prob"}
     assert set(out["M=4,samples=2,t=16"]) == {"draw_ns_per_cell",
                                               "update_ns_per_cell"}
     assert set(out["airy_pair"]) == {"window_80_ns_per_point",
@@ -43,6 +43,9 @@ def test_layer_probe_runs_in_the_repo_root():
     assert out["tw_gue_cdf"]["ms_at_0"] > 0
     assert out["goe2_cdf"]["ms_at_0"] > 0
     assert out["combinatorial_suite"]["ms_per_call"] > 0
+    assert set(out["region1_prob"]) == {"one_time_ell_20_ms",
+                                        "two_time_ell_8_12_ms"}
+    assert min(out["region1_prob"].values()) > 0
 
 
 def test_pairs_won_follows_better_and_skips_ties():

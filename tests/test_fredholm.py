@@ -27,7 +27,11 @@ from scipy.integrate import solve_ivp
 from scipy.special import airy as scipy_airy
 from scipy.stats import multivariate_normal
 
-from oracles import airy_laplace_complement, ou_joint_cdf_quadrature
+from oracles import (
+    airy_laplace_complement,
+    kernel_region1,
+    ou_joint_cdf_quadrature,
+)
 from steptasep import finite_kernel, fredholm
 from steptasep.combinatorics import fraction_determinant
 from steptasep.finite_kernel import joint_probability
@@ -54,7 +58,6 @@ from steptasep.limit_kernels.kernels import (
     kernel_K3prime_block,
     kernel_KG_block,
     kernel_Kn_block,
-    kernel_region1,
 )
 from steptasep.limit_kernels.scaling import ScaledExperiment
 from steptasep.limit_kernels.special import airy_ai
@@ -250,6 +253,55 @@ class TestDetContinuous:
         vals = [det_continuous(kernel_KG_block, [0.0, 0.5], [s, 0.0])
                 for s in (-1.0, 0.0, 1.0)]
         assert vals[0] < vals[1] < vals[2]
+
+
+class TestProbabilityCheck:
+    """checked_probability is the one range check of every float
+    determinant: the onset law, the float exact law and Nystrom."""
+
+    @pytest.fixture
+    def onset_entry(self, monkeypatch):
+        # region1_prob([0.0], [1]) is then det(I - K) = 1 - value
+        def set_entry(value):
+            monkeypatch.setattr(
+                fredholm, "kernel_region1_block",
+                lambda t1, xs1, t2, xs2: np.full((len(xs1), len(xs2)), value))
+        return set_entry
+
+    @pytest.mark.parametrize("entry, want", [
+        (1.0 + fredholm.TOL / 2, 0.0),  # det = -TOL/2
+        (-fredholm.TOL / 2, 1.0),  # det = 1 + TOL/2
+        (0.25, 0.75),
+    ])
+    def test_values_within_tol_are_clipped(self, onset_entry, entry, want):
+        onset_entry(entry)
+        assert region1_prob([0.0], [1]) == want
+
+    @pytest.mark.parametrize("entry", [math.nan, 1.0 + 2 * fredholm.TOL,
+                                       -2 * fredholm.TOL])
+    def test_values_beyond_tol_raise(self, onset_entry, entry):
+        onset_entry(entry)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ProbabilityRangeError) as info:
+            region1_prob([0.0], [1])
+        assert info.value.coarse is None
+
+    def test_float_exact_law_is_checked(self, monkeypatch):
+        kern = finite_kernel.FiniteKernel(RATES2)
+        monkeypatch.setattr(
+            kern, "block",
+            lambda t1, xs1, t2, xs2, exact: np.full((len(xs1), len(xs2)),
+                                                    np.nan))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ProbabilityRangeError, match="nan"):
+            joint_probability([4], [2], kern)
+
+    @pytest.mark.parametrize("tau, raw", [(8.0, "1.9"), (5.0, "-1.7")])
+    def test_wide_onset_window_raises(self, tau, raw):
+        # the float kernel cancels beyond double precision here: the raw
+        # determinants are about 1.9e43 and -1.7e25
+        with pytest.raises(ProbabilityRangeError, match=raw):
+            region1_prob([tau], [60])
 
 
 class TestReferenceLawsAgainstPainleve:

@@ -74,6 +74,20 @@ class TestConfig:
                 mode, config_path=path, out=str(tmp_path / "out")))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("strengths", [[float("nan"), 1.0],
+                                           [float("inf")]])
+    def test_non_finite_strengths_rejected(self, tmp_path, strengths):
+        # a NaN strength once reached the sampler, which refused the stay
+        # rates it gave without naming the field
+        data = dict(m=10, q=0.1, qbar=0.2, region="R3-degenerate",
+                    strengths=strengths, n_samples=10, master_seed=1)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="^strengths must be finite"):
+            harness.run(harness.resolve_config(
+                "simulate", config_path=path, out=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
+
     def test_stay_rate_zero_accepted(self):
         cfg = harness.config_from_dict({"mode": "fig3", "q": 0, "qbar": 0.0})
         assert cfg.q == 0.0 and cfg.qbar == 0.0

@@ -7,7 +7,8 @@ for the defect border integrals, residue series versus brute circle
 contour for the rank-n Gaussian kernel, and finite inclusion-exclusion
 versus determinant for the lattice onset kernel.  The onset kernel is also
 cross-validated against the exact finite-system determinant under the
-scaling map, with the deviation halving as the particle count quadruples.
+scaling map, with the deviation halving as the particle count quadruples,
+and its block against the scalar entry of tests/oracles.py.
 """
 
 import itertools
@@ -19,7 +20,12 @@ import pytest
 from scipy import integrate
 from scipy import special as sps
 
-from oracles import _perturbation_i_line, airy_laplace_complement
+from oracles import (
+    _perturbation_i_line,
+    airy_laplace_complement,
+    kernel_region1,
+    phi_poisson,
+)
 from steptasep.combinatorics import elementary_symmetric
 from steptasep.finite_kernel import joint_probability
 from steptasep import fredholm
@@ -277,9 +283,10 @@ class TestCriticalKernels:
             red = kk.kernel_K3prime_block(t1, GRID1, t2, GRID2, [1e12])
             assert np.max(np.abs(k2 - red)) < 1e-8
 
-    def test_k3prime_rejects_negative_strengths(self):
+    @pytest.mark.parametrize("etas", [[-0.5], [0.0, math.nan]])
+    def test_k3prime_rejects_negative_strengths(self, etas):
         with pytest.raises(ValueError):
-            kk.kernel_K3prime_block(0.0, [0.0], 0.0, [0.0], [-0.5])
+            kk.kernel_K3prime_block(0.0, [0.0], 0.0, [0.0], etas)
 
 
 def _kn_brute(tau1, xi1, tau2, xi2, eps, step=0.05, half_width=8.0,
@@ -368,6 +375,8 @@ class TestRankNGaussian:
             kk.kernel_Kn_block(0.0, [0.0], 0.0, [0.0], [])
         with pytest.raises(ValueError):
             kk.kernel_Kn_block(0.0, [0.0], 0.0, [0.0], [0.2, -0.1])
+        with pytest.raises(ValueError):
+            kk.kernel_Kn_block(0.0, [0.0], 0.0, [0.0], [math.nan])
 
 
 class TestGaussianKernel:
@@ -402,7 +411,7 @@ class TestOnsetKernel:
     def test_determinant_equals_inclusion_exclusion(self):
         taus, levels = [-0.3, 0.5], [2, 3]
         pts = [(i, x) for i, l in enumerate(levels) for x in range(l)]
-        mat = np.array([[kk.kernel_region1(taus[i], x, taus[j], y)
+        mat = np.array([[kernel_region1(taus[i], x, taus[j], y)
                          for (j, y) in pts] for (i, x) in pts])
         total = 1.0
         for k in range(1, len(pts) + 1):
@@ -434,9 +443,7 @@ class TestOnsetKernel:
         # which converges only conditionally; Abel regularization of the
         # literal tail must agree with the closed re-summation
         x1, x2, tau1, tau2 = 1, 3, 0.4, 1.1
-        h = psi2_sequence(x2, tau2)
-        window = sum(psi1(x1 - m, tau1) * h[x2 - m] for m in range(0, x2 + 1))
-        target = kk.phi_poisson(x1, x2, tau2 - tau1) - window
+        target = -kk.kernel_region1_block(tau1, [x1], tau2, [x2])[0, 0]
 
         def abel_tail(r, terms):
             a_prev, a_cur = psi1(x1, tau1), psi1(x1 + 1, tau1)
@@ -471,9 +478,41 @@ class TestOnsetKernel:
         assert abs(extrapolated - target) < 5e-5
 
     def test_poisson_propagator_values(self):
-        assert kk.phi_poisson(2, 1, 0.5) == 0.0
-        assert kk.phi_poisson(1, 1, 0.5) == 1.0
-        assert abs(kk.phi_poisson(0, 3, 0.5) - 0.5 ** 3 / 6.0) < 1e-15
+        # a forward entry is the backward-ordering sum minus dt^k/k!
+        def propagator(x1, x2, tau1=0.2, dt=0.5):
+            h = psi2_sequence(x2, tau1 + dt)
+            window = sum(psi1(x1 - m, tau1) * h[x2 - m]
+                         for m in range(0, x2 + 1))
+            entry = kk.kernel_region1_block(tau1, [x1], tau1 + dt, [x2])
+            return window - entry[0, 0]
+
+        assert phi_poisson(2, 1, 0.5) == propagator(2, 1) == 0.0
+        assert phi_poisson(1, 1, 0.5) == 1.0
+        assert abs(propagator(1, 1) - 1.0) < 1e-15
+        assert abs(phi_poisson(0, 3, 0.5) - 0.5 ** 3 / 6.0) < 1e-15
+        assert abs(propagator(0, 3) - 0.5 ** 3 / 6.0) < 1e-15
+
+    @pytest.mark.parametrize("tau1, tau2", [(0.4, 0.4), (1.1, -0.3),
+                                            (-0.3, 1.1)])
+    def test_block_matches_scalar_entries(self, tau1, tau2):
+        # windows off the origin, with negative columns where the sum is
+        # empty and rows where the forward propagator vanishes
+        xs1, xs2 = range(-3, 5), range(-2, 6)
+        block = kk.kernel_region1_block(tau1, xs1, tau2, xs2)
+        want = np.array([[kernel_region1(tau1, x, tau2, y) for y in xs2]
+                         for x in xs1])
+        assert np.max(np.abs(block - want)) < 1e-13
+
+    def test_one_psi1_per_argument(self, monkeypatch):
+        calls = []
+
+        def counted(x, tau):
+            calls.append(x)
+            return psi1(x, tau)
+
+        monkeypatch.setattr(kk, "psi1", counted)
+        region1_prob([0.0], [60])
+        assert len(calls) == len(set(calls)) <= 4 * 60
 
     def test_matches_finite_system_and_converges(self):
         diffs = {}
@@ -506,6 +545,6 @@ class TestOnsetKernel:
         def no_kernel(*args):
             raise AssertionError("kernel evaluated before the input check")
 
-        monkeypatch.setattr(fredholm, "kernel_region1", no_kernel)
+        monkeypatch.setattr(fredholm, "kernel_region1_block", no_kernel)
         with pytest.raises(ValueError):
             region1_prob(taus, levels)

@@ -268,6 +268,12 @@ class TestAdmissibility:
             ScaledExperiment(region="R2", m=10, q=0.1, u=2.0,
                              strengths=(-1.0,))
 
+    @pytest.mark.parametrize("strengths", [(math.nan, 1.0), (math.inf,)])
+    def test_strengths_must_be_finite(self, strengths):
+        with pytest.raises(ValueError, match="strengths must be finite"):
+            ScaledExperiment(region="R3-degenerate", m=10, q=0.1, qbar=0.2,
+                             strengths=strengths)
+
     def test_degenerate_regions_need_strengths(self):
         with pytest.raises(ValueError, match="strength"):
             ScaledExperiment(region="R3-degenerate", m=10, q=0.1, qbar=0.2)

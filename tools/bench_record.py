@@ -33,7 +33,10 @@ that checkout's `src/`:
   after one warm-up call, each the median of LAYER_REPEATS timings;
 - the milliseconds per `harness._suite_combinatorial()` call, the
   exhaustive 01-matrix identities of verify, as the median of
-  LAYER_REPEATS calls.
+  LAYER_REPEATS calls;
+- the milliseconds per windowed onset determinant, `region1_prob([0.0],
+  [20])` and the two-time `region1_prob([-1.0, 1.0], [8, 12])`, each the
+  median of LAYER_REPEATS calls.
 Standard library only.
 """
 
@@ -53,8 +56,9 @@ TRACED_RUNS = 3
 
 # Run in a checkout's root; prints one JSON line mapping each point,
 # "M=..,samples=..,t=..", to its draw_ns_per_cell and update_ns_per_cell,
-# "airy_pair" to its two per-point costs, each law to ms_at_0 and
-# "combinatorial_suite" to ms_per_call.
+# "airy_pair" to its two per-point costs, each law to ms_at_0,
+# "combinatorial_suite" to ms_per_call and "region1_prob" to its two
+# per-call costs.
 LAYER_PROBE = """
 import json, statistics, sys, time
 sys.path.insert(0, "src")
@@ -118,6 +122,11 @@ for name, cdf in (("tw_gue_cdf", fredholm.tw_gue_cdf),
     out[name] = {"ms_at_0": 1e3 * median_time(lambda: cdf(0.0))}
 out["combinatorial_suite"] = {
     "ms_per_call": 1e3 * median_time(harness._suite_combinatorial)}
+out["region1_prob"] = {
+    "one_time_ell_20_ms": 1e3 * median_time(
+        lambda: fredholm.region1_prob([0.0], [20])),
+    "two_time_ell_8_12_ms": 1e3 * median_time(
+        lambda: fredholm.region1_prob([-1.0, 1.0], [8, 12]))}
 print(json.dumps(out))
 """
 
