@@ -12,10 +12,12 @@ the geometric-entry variant) live with the tests (tests/oracles.py).
 
 The three row-recursive routines (the tagged dynamics, the left-down DP and
 dual RSK) are each a fold of one row step, and normal RSK of the reversed
-column word is a fold over the rows bottom-up. fold_rows folds one such
-step over every matrix of a size level by level: each distinct state is
-stepped once per row value, and each matrix gets the id of its final
-state. The exhaustive identity suite folds the four steps this way.
+column word is a fold over the rows bottom-up. The four steps are pure:
+each takes a tuple state and one matrix row and returns a new tuple state.
+fold_rows folds one such step over every matrix of a size level by level:
+each distinct state is stepped once per row value, and each matrix gets
+the id of its final state. The exhaustive identity suite folds the four
+steps this way.
 
 Conventions. A matrix is a tuple of N row-tuples of length M with entries in
 {0, 1}. Column c (0-based) carries the stay indicators of particle M - c
@@ -82,7 +84,7 @@ def _tagged_row(sites, row):
         if not row[-1 - j] and (j == 0 or new[j - 1] != site + 1):
             site += 1
         new.append(site)
-    return new
+    return tuple(new)
 
 
 def trajectory_from_matrix(bits):
@@ -105,7 +107,7 @@ def trajectory_from_matrix(bits):
     n_cols = len(bits[0]) if n_rows else 0
     if n_cols == 0:
         raise ValueError("matrix must have at least one column")
-    sites = list(range(n_cols - 1, -1, -1))
+    sites = tuple(range(n_cols - 1, -1, -1))
     path = [0] * n_cols
     for row in bits:
         sites = _tagged_row(sites, row)
@@ -127,13 +129,13 @@ def _left_down_row(best, row):
             suffix = best[c]
         if row[c] and suffix + 1 > new[c]:
             new[c] = suffix + 1
-    return new
+    return tuple(new)
 
 
 def longest_left_down_path(bits):
     """Maximum number of 1-entries on a path with strictly increasing row
     indices and weakly decreasing column indices. O(N*M)."""
-    best = [0] * (len(bits[0]) if bits else 0)
+    best = (0,) * (len(bits[0]) if bits else 0)
     for row in bits:
         best = _left_down_row(best, row)
     return max(best, default=0)
@@ -150,25 +152,36 @@ def column_word(bits):
 # ---------------------------------------------------------------------------
 
 def _insert(rows, x, find):
-    """Row insertion: x displaces the entry at find(row, x), bisect_left
-    (leftmost >= x) for dual and bisect_right (leftmost > x) for normal
-    insertion. Returns the row index where the cascade ends (a new cell
-    appears there)."""
-    for r, row in enumerate(rows):
+    """Row insertion into a list of list rows, in place: x displaces the
+    entry at find(row, x), bisect_left (leftmost >= x) for dual and
+    bisect_right (leftmost > x) for normal insertion."""
+    for row in rows:
         idx = find(row, x)
         if idx == len(row):
             row.append(x)
-            return r
+            return
         row[idx], x = x, row[idx]
     rows.append([x])
-    return len(rows) - 1
 
 
-def _dual_row(p_rows, row):
-    """Dual-insert the 1-entries of one matrix row (column c gives c+1)
-    into p_rows, in place; returns the rows where the new cells appear."""
-    return [_insert(p_rows, c + 1, bisect_left)
-            for c, v in enumerate(row) if v]
+def _inserted(tableau, word, find):
+    """The tuple tableau with the word row-inserted into a copy of it."""
+    rows = [list(r) for r in tableau]
+    for x in word:
+        _insert(rows, x, find)
+    return tuple(map(tuple, rows))
+
+
+def _dual_row(p, row):
+    """The tuple tableau p with the 1-entries of one matrix row (column c
+    gives c+1) dual-inserted, left to right."""
+    return _inserted(p, column_word((row,)), bisect_left)
+
+
+def _normal_row(p, row):
+    """The tuple tableau p with the column indices of one matrix row
+    normal-inserted, right to left."""
+    return _inserted(p, column_word((row,))[::-1], bisect_right)
 
 
 def dual_rsk(bits):
@@ -178,29 +191,24 @@ def dual_rsk(bits):
     -------
     (p, q) : pair of list-of-lists tableaux of equal shape. Rows of p are
         strictly increasing (its transpose is semistandard); q is
-        semistandard and records which input row created each cell.
+        semistandard and records which input row created each cell: the
+        cells p gains at input row i hold i in q.
     """
-    p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
+    p, q = (), []
     for i, row in enumerate(bits, start=1):
-        for r in _dual_row(p_rows, row):
-            if r == len(q_rows):
-                q_rows.append([])
-            q_rows[r].append(i)
-    return p_rows, q_rows
+        p = _dual_row(p, row)
+        q += [[] for _ in range(len(p) - len(q))]
+        for q_row, p_row in zip(q, p):
+            q_row += [i] * (len(p_row) - len(q_row))
+    return [list(r) for r in p], q
 
 
-def normal_rsk(word, rows=None):
-    """Insertion tableau of the normal RSK algorithm applied to a word;
-    given rows, the word is inserted into them, in place."""
-    rows = [] if rows is None else rows
+def normal_rsk(word):
+    """Insertion tableau of the normal RSK algorithm applied to a word."""
+    rows = []
     for x in word:
         _insert(rows, x, bisect_right)
     return rows
-
-
-def tableau_shape(rows):
-    return tuple(len(r) for r in rows)
 
 
 def transpose_tableau(rows):
@@ -208,14 +216,6 @@ def transpose_tableau(rows):
         return []
     return [[row[c] for row in rows if c < len(row)]
             for c in range(len(rows[0]))]
-
-
-def conjugate(shape):
-    """Transpose of a Young diagram given as weakly decreasing parts."""
-    shape = tuple(p for p in shape if p > 0)
-    if not shape:
-        return ()
-    return tuple(sum(1 for p in shape if p > c) for c in range(shape[0]))
 
 
 def first_column_identity(bits):
@@ -227,8 +227,7 @@ def first_column_identity(bits):
     p-transpose == normal RSK of the reversed column word.
     """
     p, _q = dual_rsk(bits)
-    shape = tableau_shape(p)
-    first_column = conjugate(shape)[0] if shape else 0
+    first_column = len(p)
     path_max = longest_left_down_path(bits)
     symmetric = transpose_tableau(p) == normal_rsk(column_word(bits)[::-1])
     return first_column, path_max, (first_column == path_max and symmetric)
@@ -265,12 +264,6 @@ def fold_rows(n_rows, n_cols, start, step, bottom_up=False):
         else:  # the row read now is the bottom one: code += v * 2^(k*M)
             ids = [table[i][v] for v in range(len(rows)) for i in ids]
     return ids, list(index)
-
-
-def _normal_row(rows, row):
-    """Normal-insert the column indices of one matrix row, right to left,
-    into a copy of rows."""
-    return normal_rsk(column_word((row,))[::-1], [list(r) for r in rows])
 
 
 # ---------------------------------------------------------------------------

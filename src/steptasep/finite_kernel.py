@@ -59,7 +59,8 @@ from .combinatorics import (
     complete_homogeneous,
     elementary_symmetric,
 )
-from .fredholm import _integer, checked_probability, det_discrete
+from .fredholm import checked_probability, det_discrete
+from .system import _checked_int
 
 
 def integer_binomial(a, k):
@@ -233,7 +234,7 @@ def _windows(times, levels, kern):
         raise ValueError(f"{len(times)} times but {len(levels)} levels")
     merged = {}
     for t, level in zip(times, levels):
-        t, level = _integer(t, "time"), _integer(level, "level")
+        t, level = _checked_int(t, "time"), _checked_int(level, "level")
         merged[t] = max(merged.get(t, 0), level)
     blocks = []
     # ascending, so the earliest time meets the bound check first

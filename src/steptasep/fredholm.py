@@ -22,7 +22,6 @@ contour route as every multi-defect border integral.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +35,7 @@ from .limit_kernels.kernels import (
     kernel_K3_block,
     kernel_region1_block,
 )
+from .system import _checked_int
 
 # largest refined Nystrom matrix det_continuous will build, in bytes
 MATRIX_BYTES = 2e8
@@ -158,13 +158,6 @@ def goe2_cdf(s):
     return det_continuous(kernel_K3_block, [0.0], [float(s)])
 
 
-def _integer(value, name):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} {value!r} is not an integer") from None
-
-
 def region1_prob(taus, levels):
     """P(all onset distances >= l_j) as det(I - K) on the windows
     {0..l_j-1}; times must be finite, levels integers.  Wide windows at
@@ -173,7 +166,7 @@ def region1_prob(taus, levels):
         raise ValueError("times and levels must align")
     if not all(math.isfinite(tau) for tau in taus):
         raise ValueError(f"times must be finite: {list(taus)}")
-    windows = [(tau, range(max(0, _integer(ell, "level"))))
+    windows = [(tau, range(max(0, _checked_int(ell, "level"))))
                for tau, ell in zip(taus, levels)]
     return checked_probability(det_discrete(kernel_region1_block, windows))
 

@@ -58,9 +58,11 @@ _MODE_DEFAULTS = {
 
 
 def _integral(value):
-    """int(value), refusing values that int() would truncate, such as 2.9."""
+    """int(value), refusing booleans and values that int() would truncate,
+    such as 2.9."""
     number = int(value)
-    if not isinstance(value, str) and number != value:
+    if isinstance(value, bool) or (not isinstance(value, str)
+                                   and number != value):
         raise ValueError(f"{value!r} is not an integer")
     return number
 
@@ -345,26 +347,6 @@ def run_kernel_eval(cfg):
 
 # -- verification suites ----------------------------------------------------
 
-# The row steps of the identity chain on tuples, so fold_rows can share
-# states; each looks its routine up in comb at call time.
-def _tagged_step(sites, row):
-    return tuple(comb._tagged_row(sites, row))
-
-
-def _left_down_step(best, row):
-    return tuple(comb._left_down_row(best, row))
-
-
-def _dual_step(p, row):
-    p = [list(r) for r in p]
-    comb._dual_row(p, row)
-    return tuple(map(tuple, p))
-
-
-def _normal_step(rows, row):
-    return tuple(map(tuple, comb._normal_row(rows, row)))
-
-
 def _suite_combinatorial():
     """Exhaustive identities on every 01 matrix with up to 4 rows/columns:
     stay count equals the left-down passage maximum, the first column of
@@ -378,12 +360,14 @@ def _suite_combinatorial():
         for n_cols in range(1, 5):
             sites, sites_at = comb.fold_rows(
                 n_rows, n_cols, tuple(range(n_cols - 1, -1, -1)),
-                _tagged_step)
+                comb._tagged_row)
             best, best_at = comb.fold_rows(n_rows, n_cols, (0,) * n_cols,
-                                           _left_down_step)
-            dual, dual_at = comb.fold_rows(n_rows, n_cols, (), _dual_step)
+                                           comb._left_down_row)
+            dual, dual_at = comb.fold_rows(n_rows, n_cols, (),
+                                           comb._dual_row)
             normal, normal_at = comb.fold_rows(n_rows, n_cols, (),
-                                               _normal_step, bottom_up=True)
+                                               comb._normal_row,
+                                               bottom_up=True)
             stays = [n_rows - s[-1] for s in sites_at]
             path_max = [max(b) for b in best_at]
             dual_t = [tuple(map(tuple, comb.transpose_tableau(p)))

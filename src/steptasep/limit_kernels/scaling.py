@@ -263,20 +263,28 @@ class ScaledExperiment:
 
     def rates(self):
         """Stay-rate vector realizing the region's defect structure; the
-        defect, or the first of several, is particle 1."""
+        defect, or the first of several, is particle 1. Strengths lower
+        rates from q or qbar; one that lowers a rate below 0 is refused."""
         m, q, qbar = self.m, self.q, self.qbar
         if self.family == "fixedM":
             amp = math.sqrt(2.0 * q * (1.0 - q) / self.horizon)
             eps = self.strengths if self.strengths else (0.0,) * m
-            return tuple(q - amp * e for e in eps)
-        if REGION_TABLE[self.region][2] != "several":
+            rates = tuple(q - amp * e for e in eps)
+        elif REGION_TABLE[self.region][2] != "several":
             # a required defect has qbar > q; an optional one may not
             slow = qbar is not None and qbar > q
             return defect_rates(m, q, {1: qbar} if slow else {})
-        if self.family == "bulk":
-            uc = critical_scaled_time(q, qbar)
-            amp = qbar * (1.0 - qbar) / (coef_d(uc, q) * m ** (1 / 3))
         else:
-            amp = 2.0 * qbar * (1.0 - qbar) / math.sqrt(m)
-        return defect_rates(
-            m, q, {1 + i: qbar - amp * s for i, s in enumerate(self.strengths)})
+            if self.family == "bulk":
+                uc = critical_scaled_time(q, qbar)
+                amp = qbar * (1.0 - qbar) / (coef_d(uc, q) * m ** (1 / 3))
+            else:
+                amp = 2.0 * qbar * (1.0 - qbar) / math.sqrt(m)
+            rates = defect_rates(m, q, {1 + i: qbar - amp * s
+                                        for i, s in enumerate(self.strengths)})
+        low = min(rates)
+        if low < 0.0:
+            raise ValueError(
+                f"strengths {list(self.strengths)} put the stay rate of "
+                f"particle {rates.index(low) + 1} at {low!r}, below 0")
+        return rates

@@ -41,12 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Memory budget in bytes. A batch is kept within it at 8 bytes per sample,
-# step and particle of one time block, a bound that BLOCK_CELLS below keeps
-# tighter at this value; the sampler holds one byte per cell (the stay
-# bits) plus one sample's block of stay bytes at a time. A
-# positions_trajectory whose (horizon+1) x M int64 output exceeds the
-# budget is refused.
+# Memory budget in bytes of one positions_trajectory: a (horizon+1) x M
+# int64 output above it is refused. The sampler's own memory is bounded by
+# BLOCK_CELLS below.
 UNIFORM_BLOCK_BYTES = 2e8
 
 # Stay bits of one time block of a batch: at most BLOCK_CELLS cells (about
@@ -157,11 +154,9 @@ def _evolve(stay, pos=None):
 
 def adaptive_chunk(horizon, m):
     """Sample batch size: one time block of a batch holds at most
-    BLOCK_CELLS stay bits (about 2 MB) and at most MAX_BATCH samples, and
-    its 8-byte charge per cell stays within UNIFORM_BLOCK_BYTES."""
+    BLOCK_CELLS stay bits (about 2 MB) and at most MAX_BATCH samples."""
     cells = max(1, min(horizon, TIME_BLOCK) * m)
-    return max(1, min(MAX_BATCH, BLOCK_CELLS // cells,
-                      int(UNIFORM_BLOCK_BYTES / (8 * cells))))
+    return max(1, min(MAX_BATCH, BLOCK_CELLS // cells))
 
 
 def _thresholds(rates):
@@ -223,24 +218,25 @@ def _trajectories(rates, horizon, master_seed, indices):
         yield from enumerate(_evolve(block, pos), start + 1)
 
 
-def _checked_int(value, name, low, high=None, integral=False):
-    """value as an int in low..high (no upper end when high is None), or a
-    ValueError that names it. With integral, a number of another type
-    that is a whole number, such as 3.0, counts as that int, as in a
-    config field."""
-    try:
-        checked = operator.index(value)
-    except TypeError:
-        checked = None
-        if (integral and isinstance(value, numbers.Real)
-                and math.isfinite(value) and value == int(value)):
-            checked = int(value)
-    if checked is None or checked < low or (high is not None
-                                            and checked > high):
-        span = ("1.. (positive)" if (low, high) == (1, None)
-                else f"{low}..{'' if high is None else high}")
-        raise ValueError(f"{name} must be an integer in {span}, "
-                         f"got {value!r}")
+def _checked_int(value, name, low=None, high=None, integral=False):
+    """value as an int in low..high (no end where a bound is None), or a
+    ValueError that names it. A bool is refused, not read as 0 or 1. With
+    integral, a number of another type that is a whole number, such as
+    3.0, counts as that int, as in a config field."""
+    checked = None
+    if not isinstance(value, bool):  # numpy bools fail operator.index
+        try:
+            checked = operator.index(value)
+        except TypeError:
+            if (integral and isinstance(value, numbers.Real)
+                    and math.isfinite(value) and value == int(value)):
+                checked = int(value)
+    if (checked is None or (low is not None and checked < low)
+            or (high is not None and checked > high)):
+        span = ("" if (low, high) == (None, None)
+                else " in 1.. (positive)" if (low, high) == (1, None)
+                else f" in {low}..{'' if high is None else high}")
+        raise ValueError(f"{name} must be an integer{span}, got {value!r}")
     return checked
 
 

@@ -2,8 +2,9 @@
 
 - Combinatorics: the quadratic longest-subsequence DP for the left-down
   maximum, Schur polynomials by the Jacobi-Trudi determinant and by SSYT
-  enumeration (each the reference for the other), horizontal strips and
-  the Schur weight of a growth sequence, the growth-sequence law by
+  enumeration (each the reference for the other), the shape of a tableau
+  and the conjugate of a diagram, horizontal strips and the Schur weight
+  of a growth sequence, the growth-sequence law by
   enumeration over all 01 matrices, and the geometric-entry variant of the
   last-passage identity.
 - Dynamics: the tagged distance driven by a given uniform block, through the
@@ -67,6 +68,18 @@ def longest_nonincreasing_subsequence(word):
     return max(best, default=0)
 
 
+def tableau_shape(rows):
+    return tuple(len(r) for r in rows)
+
+
+def conjugate(shape):
+    """Transpose of a Young diagram given as weakly decreasing parts."""
+    shape = tuple(p for p in shape if p > 0)
+    if not shape:
+        return ()
+    return tuple(sum(1 for p in shape if p > c) for c in range(shape[0]))
+
+
 def growth_shapes(bits):
     """Diagram sequence: shape of the dual RSK of the first i rows, i=1..N."""
     p_rows: list[list[int]] = []
@@ -75,7 +88,7 @@ def growth_shapes(bits):
         for c, v in enumerate(row):
             if v:
                 cb._insert(p_rows, c + 1, bisect_left)
-        shapes.append(cb.tableau_shape(p_rows))
+        shapes.append(tableau_shape(p_rows))
     return shapes
 
 
@@ -165,7 +178,7 @@ def schur_weight(seq, rates):
             return Fraction(0)
         prev = lam
     ps = [q / (1 - q) for q in reversed(qs)]
-    weight = schur_polynomial(cb.conjugate(seq[-1]), ps)
+    weight = schur_polynomial(conjugate(seq[-1]), ps)
     for q in qs:
         weight *= (1 - q) ** n_steps
     return weight

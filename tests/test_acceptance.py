@@ -71,7 +71,8 @@ class TestExhaustiveCombinatorialIdentities:
 
     def test_suite_fails_without_the_blocking_rule(self, monkeypatch):
         def unblocked(sites, row):
-            return [site + (not row[-1 - j]) for j, site in enumerate(sites)]
+            return tuple(site + (not row[-1 - j])
+                         for j, site in enumerate(sites))
 
         monkeypatch.setattr(harness.comb, "_tagged_row", unblocked)
         ok, details = harness._suite_combinatorial()
@@ -93,7 +94,7 @@ class TestExhaustiveCombinatorialIdentities:
     # gets a fault of its own: none may be hidden by the sharing
     def test_suite_fails_with_a_broken_left_down_dp(self, monkeypatch):
         def without_suffix_max(best, row):
-            return [b + v for b, v in zip(best, row)]
+            return tuple(b + v for b, v in zip(best, row))
 
         monkeypatch.setattr(harness.comb, "_left_down_row",
                             without_suffix_max)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import oracles
 from steptasep import combinatorics as comb
-from steptasep import harness
 
 # (row, column) positions of the ones, 1-based, in the worked example.
 EXAMPLE_ONES = {
@@ -60,8 +59,8 @@ class TestWorkedExample:
 
     def test_dual_rsk_shape(self):
         p, q = comb.dual_rsk(example_matrix())
-        assert comb.tableau_shape(p) == (4, 3, 2, 2, 2)
-        assert comb.tableau_shape(q) == (4, 3, 2, 2, 2)
+        assert oracles.tableau_shape(p) == (4, 3, 2, 2, 2)
+        assert oracles.tableau_shape(q) == (4, 3, 2, 2, 2)
 
     def test_first_column_identity(self):
         first_col, path_max, agree = comb.first_column_identity(example_matrix())
@@ -72,6 +71,37 @@ class TestWorkedExample:
         assert shapes[-1] == (4, 3, 2, 2, 2)
         for prev, lam in zip(((),) + tuple(shapes), shapes):
             assert oracles.is_horizontal_strip(lam, prev)
+
+
+def is_semistandard(rows):
+    """Rows weakly increasing, columns strictly increasing, rows weakly
+    shrinking."""
+    return (all(len(a) >= len(b) for a, b in zip(rows, rows[1:]))
+            and all(list(r) == sorted(r) for r in rows)
+            and all(b[c] > a[c] for a, b in zip(rows, rows[1:])
+                    for c in range(len(b))))
+
+
+class TestDualRSK:
+    # Q is read off P's growth, so these check it against the defining
+    # properties of dual RSK rather than against a second insertion
+    def test_pairs_are_tableaux_and_tell_matrices_apart(self):
+        for n_rows in range(1, 4):
+            for n_cols in range(1, 4):
+                pairs = set()
+                for bits in comb.all_matrices(n_rows, n_cols):
+                    p, q = comb.dual_rsk(bits)
+                    assert oracles.tableau_shape(p) == \
+                        oracles.tableau_shape(q)
+                    assert is_semistandard(q), (bits, q)
+                    assert is_semistandard(comb.transpose_tableau(p)), \
+                        (bits, p)
+                    assert {x for r in p for x in r} <= set(
+                        range(1, n_cols + 1))
+                    assert {i for r in q for i in r} <= set(
+                        range(1, n_rows + 1))
+                    pairs.add((as_tuples(p), as_tuples(q)))
+                assert len(pairs) == 1 << (n_rows * n_cols)
 
 
 class TestTrajectory:
@@ -188,9 +218,10 @@ class TestSchur:
         assert not oracles.is_horizontal_strip((1, 1), ())
 
     def test_conjugate(self):
-        assert comb.conjugate((4, 3, 2, 2, 2)) == (5, 5, 2, 1)
-        assert comb.conjugate(()) == ()
-        assert comb.conjugate(comb.conjugate((4, 3, 2, 2, 2))) == (4, 3, 2, 2, 2)
+        assert oracles.conjugate((4, 3, 2, 2, 2)) == (5, 5, 2, 1)
+        assert oracles.conjugate(()) == ()
+        assert oracles.conjugate(oracles.conjugate((4, 3, 2, 2, 2))) == (
+            4, 3, 2, 2, 2)
 
 
 class TestGrowthLaw:
@@ -269,11 +300,10 @@ def suite_folds(n_rows, n_cols):
     dynamics, the left-down DP and dual RSK top-down, normal RSK bottom-up."""
     return (
         comb.fold_rows(n_rows, n_cols, tuple(range(n_cols - 1, -1, -1)),
-                       harness._tagged_step),
-        comb.fold_rows(n_rows, n_cols, (0,) * n_cols,
-                       harness._left_down_step),
-        comb.fold_rows(n_rows, n_cols, (), harness._dual_step),
-        comb.fold_rows(n_rows, n_cols, (), harness._normal_step,
+                       comb._tagged_row),
+        comb.fold_rows(n_rows, n_cols, (0,) * n_cols, comb._left_down_row),
+        comb.fold_rows(n_rows, n_cols, (), comb._dual_row),
+        comb.fold_rows(n_rows, n_cols, (), comb._normal_row,
                        bottom_up=True))
 
 
@@ -326,7 +356,7 @@ class TestFoldRows:
                                  for r in range(4)))
 
     @pytest.mark.parametrize("step, bottom_up", [
-        (harness._dual_step, False), (harness._normal_step, True)])
+        (comb._dual_row, False), (comb._normal_row, True)])
     def test_step_runs_once_per_state_and_row(self, step, bottom_up):
         calls = []
 
@@ -346,7 +376,7 @@ class TestFoldRows:
             with pytest.raises(ValueError, match="enumeration guard"):
                 comb.fold_rows(n_rows, n_cols, (), None)
         # entries above 4 need no code: the word 5 4 3 2 1 is one column
-        ids, states = comb.fold_rows(1, 5, (), harness._normal_step)
+        ids, states = comb.fold_rows(1, 5, (), comb._normal_row)
         assert len(ids) == 32
         assert states[ids[-1]] == ((1,), (2,), (3,), (4,), (5,))
 

@@ -419,6 +419,8 @@ class TestDeterminantProperties:
         ([10, 12], [3], (0.5,) * 5),  # one level for two times
         ([10.7], [3], (0.5,) * 5),
         ([10], [2.9], (0.5,) * 5),
+        ([True], [1], (0.5,)),  # True once ran as time 1
+        ([10], [True], (0.5,) * 5),
         ([10], [2], ()),  # no tagged particle
     ])
     def test_rejects_malformed_input(self, times, levels, rates):

@@ -105,9 +105,12 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("levels", [2.9]), ("times", [6.7]), ("m", 2.5), ("horizon", 10.5),
         ("n_samples", 3.5), ("master_seed", 1.5), ("defects", [1, 1.5]),
-        ("m", float("inf")), ("levels", [float("nan")])])
+        ("m", float("inf")), ("levels", [float("nan")]), ("m", True),
+        ("n_samples", True), ("master_seed", False), ("times", [True]),
+        ("defects", [1, True])])
     def test_non_integral_integer_fields_rejected(self, field, value):
-        # int() would truncate 2.9 to 2 and run the wrong experiment
+        # int() would truncate 2.9 to 2 and run the wrong experiment, and
+        # read a JSON true as 1
         with pytest.raises(ValueError, match=field):
             harness.config_from_dict({"mode": "exact-dist", field: value})
 
@@ -303,19 +306,38 @@ class TestSimulateRunner:
 
     def test_horizon_beyond_whole_block_budget_runs(self, tmp_path,
                                                     monkeypatch):
-        # t = 80 steps of 40 particles is more raw words than the patched
-        # budget holds; the sampler streams them in time blocks and
-        # writes the same files
+        # t = 80 steps of 40 particles is more stay bits than the patched
+        # block holds; the sampler streams them in time blocks of one
+        # sample and writes the same files
         cfg = self._config(tmp_path / "run")
         harness.run_simulate(cfg)
         first = {name: (tmp_path / "run" / name).read_bytes()
                  for name in ("samples.csv", "distribution.csv",
                               "report.json")}
-        monkeypatch.setattr(system, "UNIFORM_BLOCK_BYTES",
-                            system.TIME_BLOCK * 40 * 8)
+        monkeypatch.setattr(system, "BLOCK_CELLS", system.TIME_BLOCK * 40)
         harness.run_simulate(cfg)
         for name, blob in first.items():
             assert (tmp_path / "run" / name).read_bytes() == blob
+
+    @pytest.mark.parametrize("over", [
+        dict(region="fixedM", m=3, q=0.3, horizon=500, u=None,
+             strengths=[20, 0, 0]),
+        dict(region="R3-degenerate", m=10, q=0.1, qbar=0.2, u=None,
+             strengths=[0, 50])])
+    def test_strength_below_zero_rate_named_before_any_draw(
+            self, tmp_path, monkeypatch, over):
+        # such a strength once failed in the sampler with "stay rates must
+        # lie in [0, 1)", which names neither the field nor the rate
+        made = []
+        monkeypatch.setattr(system, "_trajectories",
+                            lambda *args: made.append(args) or iter(()))
+        cfg = self._config(tmp_path / "run", **over)
+        with pytest.raises(ValueError, match=(
+                r"^strengths .* stay rate of particle \d+ at -[0-9.]+, "
+                r"below 0")):
+            harness.run_simulate(cfg)
+        assert made == []
+        assert not (tmp_path / "run").exists()
 
     def test_unbounded_work_refused_before_any_draw(self, tmp_path,
                                                     monkeypatch):

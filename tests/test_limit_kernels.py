@@ -537,6 +537,7 @@ class TestOnsetKernel:
 
     @pytest.mark.parametrize("taus, levels", [
         ([0.3], [2.9]),
+        ([0.3], [True]),  # once counted as level 1
         ([math.nan], [2]),
         ([0.1, math.inf], [1, 1]),
     ])

@@ -274,6 +274,17 @@ class TestAdmissibility:
             ScaledExperiment(region="R3-degenerate", m=10, q=0.1, qbar=0.2,
                              strengths=strengths)
 
+    @pytest.mark.parametrize("region, extra, strengths, label", [
+        ("fixedM", dict(m=3, q=0.3, horizon=500.0), (20.0, 0.0, 0.0), 1),
+        ("R3-degenerate", dict(m=10, q=0.1, qbar=0.2), (0.0, 50.0), 2)])
+    def test_strength_below_zero_rate_names_strengths(self, region, extra,
+                                                      strengths, label):
+        ex = ScaledExperiment(region=region, strengths=strengths, **extra)
+        with pytest.raises(ValueError, match=(
+                rf"^strengths .* stay rate of particle {label} at -[0-9.]+,"
+                r" below 0")):
+            ex.rates()
+
     def test_degenerate_regions_need_strengths(self):
         with pytest.raises(ValueError, match="strength"):
             ScaledExperiment(region="R3-degenerate", m=10, q=0.1, qbar=0.2)

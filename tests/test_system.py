@@ -36,7 +36,7 @@ class TestSpecAndInitial:
 
     @pytest.mark.parametrize("field, m, horizon", [
         ("m", 2.5, 3), ("horizon", 2, 2.5), ("m", "2", 3),
-        ("horizon", 2, float("inf"))])
+        ("horizon", 2, float("inf")), ("m", True, 3), ("horizon", 2, True)])
     def test_non_integral_sizes_name_their_field(self, field, m, horizon):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             sy.SystemSpec(m=m, rates=(0.2, 0.3), horizon=horizon)
@@ -180,13 +180,13 @@ class TestEnsemble:
         )
 
     def test_default_chunk_respects_uniform_budget(self, monkeypatch):
-        # a budget that holds two samples' blocks at 8 bytes a cell caps
-        # every batch at two and every block at TIME_BLOCK steps, however long
-        # the horizon and however many samples are asked for
+        # a block of stay bits that holds two samples' time blocks caps
+        # every batch at two and every block at TIME_BLOCK steps, however
+        # long the horizon and however many samples are asked for
         m, horizon = 5, 3 * sy.TIME_BLOCK + 7
         spec = spec_uniform(m, 0.3, horizon)
-        budget = 2 * sy.TIME_BLOCK * m * 8
-        monkeypatch.setattr(sy, "UNIFORM_BLOCK_BYTES", budget)
+        cells = 2 * sy.TIME_BLOCK * m
+        monkeypatch.setattr(sy, "BLOCK_CELLS", cells)
         blocks = []
         evolve = sy._evolve
 
@@ -197,7 +197,8 @@ class TestEnsemble:
         monkeypatch.setattr(sy, "_evolve", spy)
         got = sy.sample_ensemble(spec, [7, horizon], 5, master_seed=42)
         assert [shape[0] for shape in blocks] == [2] * 8 + [1] * 4
-        assert all(np.prod(shape) * 8 <= budget for shape in blocks)
+        # one byte a stay bit
+        assert all(np.prod(shape) <= cells for shape in blocks)
         assert sum(shape[1] for shape in blocks[:4]) == horizon
         monkeypatch.setattr(sy, "_evolve", evolve)
         assert np.array_equal(
@@ -209,13 +210,14 @@ class TestEnsemble:
             sy.sample_ensemble(spec, [11], 1, master_seed=0)
         with pytest.raises(ValueError):
             sy.sample_ensemble(spec, [-1], 5, master_seed=0)
-        for times in ([10.7], [np.float64(3.0)], ["3"]):
-            with pytest.raises(ValueError, match="time"):
+        # True once ran as time 1
+        for times in ([10.7], [np.float64(3.0)], ["3"], [True], [np.True_]):
+            with pytest.raises(ValueError, match="^time must be an integer"):
                 sy.sample_ensemble(spec, times, 2, master_seed=0)
         assert np.array_equal(sy.sample_ensemble(spec, [np.int64(9)], 4, 0),
                               sy.sample_ensemble(spec, [9], 4, 0))
 
-    @pytest.mark.parametrize("n_samples", [2.5, 0, -1, "3"])
+    @pytest.mark.parametrize("n_samples", [2.5, 0, -1, "3", True])
     def test_n_samples_validated(self, n_samples):
         spec = spec_uniform(3, 0.2, 10)
         with pytest.raises(ValueError, match="^n_samples must be"):
@@ -227,7 +229,7 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="chunk_size"):
             sy.sample_ensemble(spec, [10], 4, 0, chunk_size=chunk_size)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, False])
     def test_seed_validated(self, seed):
         spec = spec_uniform(3, 0.2, 10)
         with pytest.raises(ValueError, match="seed"):
