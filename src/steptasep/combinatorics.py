@@ -205,10 +205,7 @@ def dual_rsk(bits):
 
 def normal_rsk(word):
     """Insertion tableau of the normal RSK algorithm applied to a word."""
-    rows = []
-    for x in word:
-        _insert(rows, x, bisect_right)
-    return rows
+    return [list(r) for r in _inserted((), word, bisect_right)]
 
 
 def transpose_tableau(rows):

@@ -37,6 +37,7 @@ from .limit_kernels.kernels import (
 from .limit_kernels.scaling import ScaledExperiment
 from .system import (  # adaptive_chunk is read as harness.adaptive_chunk
     SystemSpec,
+    _checked_int,
     adaptive_chunk,
     critical_scaled_time,
     defect_rates,
@@ -58,13 +59,12 @@ _MODE_DEFAULTS = {
 
 
 def _integral(value):
-    """int(value), refusing booleans and values that int() would truncate,
-    such as 2.9."""
-    number = int(value)
-    if isinstance(value, bool) or (not isinstance(value, str)
-                                   and number != value):
-        raise ValueError(f"{value!r} is not an integer")
-    return number
+    """int(value) for a string; any other value goes through the library
+    integer check, which refuses booleans and values that int() would
+    truncate, such as 2.9."""
+    if isinstance(value, str):
+        return int(value)
+    return _checked_int(value, "value", integral=True)
 
 
 def _tuple_of(kind):

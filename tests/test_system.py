@@ -254,14 +254,18 @@ class TestEnsemble:
             sy.positions_trajectory(spec, 0)
 
     def test_ensemble_memory_independent_of_horizon(self, monkeypatch):
-        # one sample's whole-horizon block is 20 times the budget: the
-        # ensemble streams it in blocks, the full trajectory is refused
+        # with the cell budget at one time block of one sample, the
+        # whole horizon is 20 times the budget: the ensemble streams it one
+        # sample at a time to the same draws, the full trajectory is refused
         m, horizon = 4, 20 * sy.TIME_BLOCK
         spec = spec_uniform(m, 0.2, horizon)
         want = sy.sample_ensemble(spec, [horizon], 3, master_seed=5)
-        monkeypatch.setattr(sy, "UNIFORM_BLOCK_BYTES", sy.TIME_BLOCK * m * 8)
+        assert sy.adaptive_chunk(horizon, m) >= 3
+        monkeypatch.setattr(sy, "BLOCK_CELLS", sy.TIME_BLOCK * m)
+        assert sy.adaptive_chunk(horizon, m) == 1
         assert np.array_equal(
             sy.sample_ensemble(spec, [horizon], 3, master_seed=5), want)
+        monkeypatch.setattr(sy, "UNIFORM_BLOCK_BYTES", sy.TIME_BLOCK * m * 8)
         with pytest.raises(ValueError, match="budget"):
             sy.positions_trajectory(spec, 5)
 
