@@ -17,12 +17,33 @@ e_k(p) = E_k/D^k and h_k(p) = H_k/D^k with integer E_k, H_k (the same
 recurrences on the P_i), and likewise for q over B. Hence, with
 T = t - M + 1,
     Psi2(x, t) is an integer over D^M,
-    Psi1(x, t) is an integer over D^max(x - T, 0) B^(M + max(T - 1, 0)),
-and a running sum along a diagonal is an integer over one common
-denominator once each term is scaled to the diagonal's largest power of D.
-The only Fraction built per kernel entry is the finished value, and on
-the float route not even that: the integer division total / den is
-correctly rounded, as float(Fraction(total, den)) is.
+    Psi1(x, t) is an integer over D^max(x - T, 0) B^(M + max(T - 1, 0)).
+
+The kernel holds these numerators as rows, one Psi1 row and one Psi2 row
+per time t, each built once and then only grown. No binomial coefficient
+is evaluated per value:
+- Psi2's row is the coefficient list of D^M (1 + 1/w)^T prod_i(1 - p_i w),
+  the binomial row of T times one linear factor D - P_i w at a time.
+- The residue at -1 puts (-1)^a B^M prod_i(1 - q_i) acc(a) D^max(x - T, 0)
+  into Psi1's numerator, with a = T - x - 1 and acc(a) = sum_j c_j C(a, j)
+  a polynomial of degree deg = T - 1. Its Newton coefficients at a = 0
+  (x = T - 1) are exactly c_j = (-1)^j H_(deg-j)(Q) B^j, the forward
+  differences there. From that anchor the row walks to lower x by
+  forward steps of the difference table and to higher x by backward
+  steps, deg integer additions per step.
+- For x >= T the residue at 0 adds B^(M+deg) sum_j C(-T, k-j) H_j D^(k-j),
+  k = x - T, a Cauchy product that gains one term per k; its factors
+  C(-T, i) D^i follow each other by one multiply and one exact division.
+
+A kernel block scales the stretch of the Psi1 row it reaches to the one
+largest power of D it needs, once. Every product Psi1(w + d) Psi2(w) along
+a diagonal is then an integer over the same denominator, the running sums
+are plain integer prefix sums, and that one power of D times B^(M + deg)
+D^M is the block's denominator. The only Fraction built per kernel entry
+is the finished value, and on the float route not even that: the integer
+division total / den is correctly rounded, so the float, like the
+normalised Fraction, depends only on the rational value and not on the
+denominator it was written over.
 
 The independent routes, Psi1 and Psi2 by their residue formulas in Fraction
 arithmetic, the kernel series summed term by term and direct double-contour
@@ -52,7 +73,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import comb, lcm, prod
+from itertools import accumulate
+from math import lcm, prod
+from operator import add, mul, sub
+
+import numpy as np
 
 from .combinatorics import (
     as_fraction,
@@ -61,15 +86,6 @@ from .combinatorics import (
 )
 from .fredholm import checked_probability, det_discrete
 from .system import _checked_int
-
-
-def integer_binomial(a, k):
-    """C(a, k) for any integer a and k >= 0, exactly."""
-    if k < 0:
-        return 0
-    if a >= 0:
-        return comb(a, k)
-    return (-1) ** k * comb(-a + k - 1, k)
 
 
 def max_level(t, m):
@@ -87,10 +103,69 @@ def _powers(powers, n):
     return powers
 
 
+class _Psi1Row:
+    """The Psi1 numerators of one time t over a contiguous range of x,
+    grown at either end on demand: below[a] at x = T - 1 - a and above[k]
+    at x = T + k (T = t - M + 1)."""
+
+    def __init__(self, kern, t):
+        # what growing above T reads of the kernel; no reference back to it
+        self._d, self._dpow = kern._d, kern._dpow
+        self._ep, self._hp = kern._ep, kern._hp
+        self.horizon = horizon = max_level(t, kern.m)
+        deg = max(horizon - 1, 0)
+        # B^(M+deg), the residue at 0's factor over the common denominator
+        self.scale = _powers(kern._bpow, kern.m + deg)[kern.m + deg]
+        self.below, self.above = [], []
+        if horizon >= 1:
+            h = complete_homogeneous(kern._eq, deg, kern._hq)
+            bpow = _powers(kern._bpow, deg)
+            # B^M prod(1 - q) (-1)^j c_j, for j = deg down to 0
+            signed = [kern._prod_one_minus_q * h[deg - j] * bpow[j]
+                      for j in range(deg, -1, -1)]
+        else:
+            signed = [0]  # no residue at -1
+        # the difference table of acc at a = len(below), c_0..c_deg at 0;
+        # a forward step adds each difference's successor to it
+        self._low = [(-1) ** j * v for j, v in enumerate(reversed(signed))]
+        # the table at a = -len(above), as (-1)^j times the j-th difference
+        # from j = deg down: a backward step is then its running sum
+        self._high = signed
+        self._cauchy = []  # C(-T, i) D^i for i = 0..len(above) - 1
+
+    def _grow_below(self, n):
+        low, below = self._low, self.below
+        for a in range(len(below), n):
+            below.append(-low[0] if a % 2 else low[0])
+            low[:-1] = map(add, low, low[1:])
+
+    def _grow_above(self, n):
+        above, g = self.above, self._cauchy
+        dpow = _powers(self._dpow, n)
+        for k in range(len(above), n):
+            g.append(g[-1] * self._d * (1 - k - self.horizon) // k
+                     if k else 1)
+            h = complete_homogeneous(self._ep, k, self._hp)
+            self._high = list(accumulate(self._high))
+            residue = self._high[-1] * dpow[k]  # at a = -k-1
+            above.append(self.scale * sum(map(mul, g, h[k::-1]))
+                         + (residue if k % 2 else -residue))
+
+    def span(self, lo, hi):
+        """[N1(x, t) for x in lo..hi], growing the row where it falls
+        short."""
+        top = self.horizon
+        n_below, n_above = max(top - lo, 0), max(hi - top + 1, 0)
+        self._grow_below(n_below)
+        self._grow_above(n_above)
+        return (self.below[max(top - 1 - hi, 0):n_below][::-1]
+                + self.above[max(lo - top, 0):n_above])
+
+
 class FiniteKernel:
     """Exact evaluator for one vector of stay rates q_1..q_M.
 
-    Caches the integer Psi numerators, which depend only on (x, t).
+    Caches one Psi1 row and one Psi2 row of integer numerators per time t.
     len() is the particle count M.
     """
 
@@ -106,13 +181,14 @@ class FiniteKernel:
         self._b = lcm(*(q.denominator for q in self.qs))
         self._d = lcm(*(p.denominator for p in self.ps))
         big_q = [int(q * self._b) for q in self.qs]
+        self._big_p = [int(p * self._d) for p in self.ps]
         self._eq = elementary_symmetric(big_q)
-        self._ep = elementary_symmetric([int(p * self._d) for p in self.ps])
+        self._ep = elementary_symmetric(self._big_p)
         # B^M prod_i(1 - q_i)
         self._prod_one_minus_q = prod(self._b - q for q in big_q)
         self._bpow, self._dpow = [1, self._b], [1, self._d]
-        self._psi1_cache = {}
-        self._psi2_cache = {}
+        self._rows1 = {}
+        self._rows2 = {}
         self._hp = [1]
         self._hq = [1]
 
@@ -124,51 +200,37 @@ class FiniteKernel:
         return (self._d ** max(x - horizon, 0)
                 * self._b ** (self.m + max(horizon - 1, 0)))
 
+    def _psi1_row(self, t):
+        row = self._rows1.get(t)
+        if row is None:
+            row = self._rows1[t] = _Psi1Row(self, t)
+        return row
+
+    def _psi2_row(self, t):
+        """D^M Psi2(x, t) for x = -M..T at index x + M: the coefficients of
+        w^(-x) in D^M (1 + 1/w)^T prod_i(1 - p_i w)."""
+        row = self._rows2.get(t)
+        if row is None:
+            horizon = max_level(t, self.m)
+            row = [0] * self.m + [1]
+            for c in range(horizon):
+                row.append(row[-1] * (horizon - c) // (c + 1))
+            for big_p in self._big_p:
+                row[:-1] = [self._d * a - big_p * b
+                            for a, b in zip(row, row[1:])]
+                row[-1] *= self._d
+            self._rows2[t] = row
+        return row
+
     def psi2_numerator(self, x, t):
         """D^M Psi2(x, t), an integer."""
-        key = (x, t)
-        if key not in self._psi2_cache:
-            horizon = max_level(t, self.m)
-            dpow = _powers(self._dpow, self.m)
-            total = 0
-            for b, eb in enumerate(self._ep):
-                c = x + b
-                if 0 <= c <= horizon:
-                    total += ((-1) ** b * eb * dpow[self.m - b]
-                              * comb(horizon, c))
-            self._psi2_cache[key] = total
-        return self._psi2_cache[key]
+        row = self._psi2_row(t)
+        return row[x + self.m] if 0 <= x + self.m < len(row) else 0
 
     def psi1_numerator(self, x, t):
         """Psi1(x, t) times its denominator D^max(x-T, 0) B^(M+max(T-1, 0)),
         an integer (T = t-M+1)."""
-        key = (x, t)
-        if key not in self._psi1_cache:
-            horizon = max_level(t, self.m)
-            k = max(x - horizon, 0)
-            deg = max(horizon - 1, 0)
-            dpow = _powers(self._dpow, k)
-            bpow = _powers(self._bpow, self.m + deg)
-            total = 0
-            if x >= horizon:
-                # residue at 0: sum_j C(-T, k-j) h_j(p), over D^k
-                h = complete_homogeneous(self._ep, k, self._hp)
-                total += bpow[self.m + deg] * sum(
-                    integer_binomial(-horizon, k - j) * h[j] * dpow[k - j]
-                    for j in range(k + 1))
-            if horizon >= 1:
-                # residue at -1: prod(1-q) times a sum over h_j(q), over
-                # B^(M+deg)
-                a = horizon - x - 1
-                h = complete_homogeneous(self._eq, deg, self._hq)
-                acc = sum(
-                    (-1) ** j * integer_binomial(a, j) * h[deg - j] * bpow[j]
-                    for j in range(deg + 1)
-                )
-                sign = -1 if a % 2 else 1
-                total += sign * self._prod_one_minus_q * acc * dpow[k]
-            self._psi1_cache[key] = total
-        return self._psi1_cache[key]
+        return self._psi1_row(t).span(x, x)[0]
 
     def psi1(self, x, t):
         """Sum of the residues at z=0 and z=-1 of
@@ -188,37 +250,59 @@ class FiniteKernel:
         m = self.m
         horizon1, horizon2 = max_level(t1, m), max_level(t2, m)
         forward = t1 >= t2
-        psi1, psi2 = self.psi1_numerator, self.psi2_numerator
-        out = [[None] * len(xs2) for _ in xs1]
-        diagonals = {}
-        for i, x1 in enumerate(xs1):
-            for j, x2 in enumerate(xs2):
-                diagonals.setdefault(x1 - x2, []).append((x2, i, j))
-        for d, cells in diagonals.items():
-            # walk the diagonal in the direction its running sum grows
-            cells.sort(reverse=forward)
-            # Psi1 Psi2 terms are integers over D^M times the Psi1
-            # denominator, whose power of D grows with w; each is scaled to
-            # the largest one the walk reaches, at w = top
-            top = horizon2 if forward else min(cells[-1][0] - 1, horizon2)
-            kmax = max(top + d - horizon1, 0)
-            dpow = _powers(self._dpow, kmax)
-            den = self._d ** m * self._psi1_denominator(top + d, t1)
-            total = 0
-            w = horizon2 if forward else -m
-            for x2, i, j in cells:
-                if forward:
-                    while w >= max(x2, -m):
-                        total += (psi1(w + d, t1) * psi2(w, t2)
-                                  * dpow[kmax - max(w + d - horizon1, 0)])
-                        w -= 1
-                else:
-                    while w <= min(x2 - 1, horizon2):
-                        total -= (psi1(w + d, t1) * psi2(w, t2)
-                                  * dpow[kmax - max(w + d - horizon1, 0)])
-                        w += 1
-                out[i][j] = Fraction(total, den) if exact else total / den
-        return out
+        xs1, xs2 = list(xs1), list(xs2)
+        if not (xs1 and xs2):
+            return [[] for _ in xs1]
+        a1, b1, a2, b2 = min(xs1), max(xs1), min(xs2), max(xs2)
+        # diagonal d = x1 - x2 meets the columns x2 in max(a2, a1 - d)..
+        # min(b2, b1 - d); its sum runs over w down from T2 to max(x2, -M),
+        # or up from -M to min(x2 - 1, T2)
+        diagonals = []
+        for d in range(a1 - b2, b1 - a2 + 1):
+            lo2, hi2 = max(a2, a1 - d), min(b2, b1 - d)
+            lo, hi = ((max(lo2, -m), horizon2) if forward
+                      else (-m, min(hi2 - 1, horizon2)))
+            # an empty walk ends at lo - 1, so its slices below are empty
+            diagonals.append((d, lo2, hi2, lo, max(hi, lo - 1)))
+        # Psi1 over D^kmax B^(M+deg1) throughout, kmax the largest power of
+        # D the block reaches; with no walk at all, an empty span
+        xlo = min((lo + d for d, _, _, lo, hi in diagonals if lo <= hi),
+                  default=horizon1)
+        xhi = max((hi + d for d, _, _, lo, hi in diagonals if lo <= hi),
+                  default=horizon1 - 1)
+        kmax = max(xhi - horizon1, 0)
+        dpow = _powers(self._dpow, kmax)
+        p1 = [v * dpow[kmax - max(x - horizon1, 0)] for x, v in
+              enumerate(self._psi1_row(t1).span(xlo, xhi), xlo)]
+        p2 = self._psi2_row(t2)
+        den = self._d ** m * self._psi1_denominator(horizon1 + kmax, t1)
+        values, starts = [], []
+        for d, lo2, hi2, lo, hi in diagonals:
+            terms = list(map(mul, p1[lo + d - xlo:hi + d - xlo + 1],
+                             p2[lo + m:hi + m + 1]))
+            # sums[k]: the first k terms in the walk's direction, with a
+            # minus sign on a backward walk; columns lo2..hi2 take the sums
+            # of k = first..last terms, and k past either end of the walk
+            # the empty or the full sum
+            if forward:
+                sums = list(accumulate(reversed(terms), initial=0))
+                first, last = hi + 1 - hi2, hi + 1 - lo2
+            else:
+                sums = list(accumulate(terms, sub, initial=0))
+                first, last = lo2 + m, hi2 + m
+            pad = max(-first, 0)
+            sums = [0] * pad + sums + sums[-1:] * max(last - len(terms), 0)
+            run = sums[first + pad:last + pad + 1]
+            if forward:
+                run.reverse()
+            starts.append(len(values) - lo2)
+            values += ([Fraction(v, den) for v in run] if exact
+                       else [v / den for v in run])
+        # entry (x1, x2) sits at starts[x1 - x2 - dmin] + x2 in values
+        index = np.asarray(starts)[np.subtract.outer(xs1, xs2) - (a1 - b2)]
+        index += np.asarray(xs2)
+        return np.asarray(values, dtype=object if exact else float)[
+            index].tolist()
 
     def entry(self, t1, x1, t2, x2):
         """One kernel entry: the 1x1 block."""

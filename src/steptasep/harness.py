@@ -67,6 +67,14 @@ def _integral(value):
     return _checked_int(value, "value", integral=True)
 
 
+def _real(value):
+    """float(value) for a number or a string; a bool is refused, not read
+    as 0.0 or 1.0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _tuple_of(kind):
     def cast(value):
         return tuple(kind(v) for v in value)
@@ -74,12 +82,12 @@ def _tuple_of(kind):
 
 
 _CASTS = {
-    "mode": str, "m": _integral, "q": float, "qbar": float,
-    "defects": _tuple_of(_integral), "region": str, "u": float,
-    "strengths": _tuple_of(float), "horizon": _integral,
+    "mode": str, "m": _integral, "q": _real, "qbar": _real,
+    "defects": _tuple_of(_integral), "region": str, "u": _real,
+    "strengths": _tuple_of(_real), "horizon": _integral,
     "times": _tuple_of(_integral), "levels": _tuple_of(_integral),
     "law": str, "suites": _tuple_of(str), "n_samples": _integral,
-    "master_seed": _integral, "out": str, "tolerance": float,
+    "master_seed": _integral, "out": str, "tolerance": _real,
 }
 
 

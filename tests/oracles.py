@@ -43,7 +43,7 @@ import numpy as np
 
 from steptasep import combinatorics as cb
 from steptasep import system
-from steptasep.finite_kernel import FiniteKernel, integer_binomial, max_level
+from steptasep.finite_kernel import FiniteKernel, max_level
 from steptasep.fredholm import gaussian_r4_cdf
 from steptasep.limit_kernels.kernels import (
     _ORDER,
@@ -308,6 +308,15 @@ def stay_bits_scalar(rates, horizon, master_seed, k):
             row.append(int(byte * 2 ** 45 + tail < top))
         bits.append(row)
     return bits
+
+
+def integer_binomial(a, k):
+    """C(a, k) for any integer a and k >= 0, exactly."""
+    if k < 0:
+        return 0
+    if a >= 0:
+        return comb(a, k)
+    return (-1) ** k * comb(-a + k - 1, k)
 
 
 def phi(t1, t2, x1, x2):

@@ -2,9 +2,10 @@
 
 The probe reaches into the package by name (`system._evolve`,
 `airy_pair`, `tw_gue_cdf`, `goe2_cdf`, `harness._suite_combinatorial`,
-`region1_prob`), so it is run once at a tiny sampler point; a renamed
-function then fails here rather than in a benchmark record.  The pair counting, quartiles and
-run order are checked on hand-made runs.
+`region1_prob`, `joint_probability`, `FiniteKernel`), so it is run once
+at a tiny sampler point; a renamed function then fails here rather than
+in a benchmark record.  The pair counting, quartiles and run order are
+checked on hand-made runs.
 """
 
 import importlib.util
@@ -35,7 +36,8 @@ def test_layer_probe_runs_in_the_repo_root():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(out) == {"M=4,samples=2,t=16", "airy_pair", "tw_gue_cdf",
-                        "goe2_cdf", "combinatorial_suite", "region1_prob"}
+                        "goe2_cdf", "combinatorial_suite", "region1_prob",
+                        "finite_kernel"}
     assert set(out["M=4,samples=2,t=16"]) == {"draw_ns_per_cell",
                                               "update_ns_per_cell"}
     assert set(out["airy_pair"]) == {"window_80_ns_per_point",
@@ -46,6 +48,10 @@ def test_layer_probe_runs_in_the_repo_root():
     assert set(out["region1_prob"]) == {"one_time_ell_20_ms",
                                         "two_time_ell_8_12_ms"}
     assert min(out["region1_prob"].values()) > 0
+    assert set(out["finite_kernel"]) == {"cold_ell_45_ms",
+                                         "two_time_ell_15_30_ms",
+                                         "column_m100_t200_s"}
+    assert min(out["finite_kernel"].values()) > 0
 
 
 def test_pairs_won_follows_better_and_skips_ties():

@@ -119,6 +119,34 @@ class TestPsi:
                         assert kern.psi1(x, t) == psi.psi1(x, t), (rates, x, t)
                         assert kern.psi2(x, t) == psi.psi2(x, t), (rates, x, t)
 
+    def test_rows_equal_residue_route(self):
+        # the rows themselves, grown in random steps at both ends, against
+        # the residue formulas: zero and slow particles, x from below -M
+        # (a > 0) through the anchor a = 0 to k = x - T = 12 (a < 0), and
+        # T = 0 at t = M - 1
+        rng = random.Random(24)
+        for m in range(1, 7):
+            for _ in range(3):
+                rates = [Fraction(rng.randrange(den), den)
+                         for den in rng.choices(range(2, 11), k=m)]
+                rates[rng.randrange(m)] = Fraction(0)
+                rates[rng.randrange(m)] = Fraction(rng.randrange(7, 10), 10)
+                kern = fk.FiniteKernel(rates)
+                psi = ResiduePsi(rates)
+                for t in range(m - 1, m + 5):
+                    horizon = t - m + 1
+                    lo, hi = -m - 3, horizon + 12
+                    row = kern._psi1_row(t)
+                    for _ in range(4):
+                        a, b = sorted(rng.sample(range(lo, hi + 1), 2))
+                        row.span(a, b)
+                    want = [psi.psi1(x, t) * kern._psi1_denominator(x, t)
+                            for x in range(lo, hi + 1)]
+                    assert row.span(lo, hi) == want, (rates, t)
+                    want = [psi.psi2(x, t) * kern._d ** m
+                            for x in range(-m, horizon + 1)]
+                    assert kern._psi2_row(t) == want, (rates, t)
+
     def test_psi1_quadrature_far_above_support(self):
         # k = x - (t-M+1) runs to 12, deep into the p-series, with zero stay
         # rates among the particles; psi1 decays like max(p)^k there, so
@@ -216,17 +244,53 @@ class TestKernelBlock:
 
     def test_psi1_calls_quadratic_in_window(self, monkeypatch):
         # the n = 45 window at M=50, t=100 needs 1.5 n^2 products; one
-        # series per entry made 46,575 psi1 calls
-        calls = []
-        psi1 = fk.FiniteKernel.psi1_numerator
+        # series per entry made 46,575 psi1 calls. The rows make each
+        # psi1 value once, so their lengths count the values made
+        rows = []
 
-        def counted(self, x, t):
-            calls.append((x, t))
-            return psi1(self, x, t)
+        class Spy(fk._Psi1Row):
+            def __init__(self, kern, t):
+                super().__init__(kern, t)
+                rows.append(self)
 
-        monkeypatch.setattr(fk.FiniteKernel, "psi1_numerator", counted)
+        monkeypatch.setattr(fk, "_Psi1Row", Spy)
         fk.joint_probability([100], [45], (0.5,) * 50)
-        assert 0 < len(calls) <= 2 * 45 ** 2
+        values = sum(len(row.below) + len(row.above) for row in rows)
+        assert 0 < values <= 2 * 45 ** 2
+
+    def test_rows_built_once_per_time_and_grown(self, monkeypatch):
+        # a full M=50, t=100 column on one kernel: each level's window
+        # reaches further in x, and the one row of t=100 grows to meet it;
+        # rebuilding it per level made this column slower than binomials
+        builds, growths = [], []
+
+        class Spy(fk._Psi1Row):
+            def __init__(self, kern, t):
+                builds.append((kern, t))
+                super().__init__(kern, t)
+
+            def span(self, lo, hi):
+                before = len(self.below), len(self.above)
+                out = super().span(lo, hi)
+                if (len(self.below), len(self.above)) != before:
+                    growths.append((lo, hi))
+                return out
+
+        monkeypatch.setattr(fk, "_Psi1Row", Spy)
+        kern = fk.FiniteKernel((0.2,) + (0.1,) * 49)
+        column = [fk.joint_probability([100], [level], kern)
+                  for level in range(1, 52)]
+        assert builds == [(kern, 100)]
+        assert 1 < len(growths) <= 51
+        assert list(kern._rows2) == [100]
+        # the grown row is the row built at once, and the column the one
+        # fresh kernels give
+        row = kern._rows1[100]
+        lo, hi = 51 - len(row.below), 51 + len(row.above) - 1
+        fresh = fk.FiniteKernel(kern.qs)
+        assert row.span(lo, hi) == fresh._psi1_row(100).span(lo, hi)
+        assert column == [fk.joint_probability([100], [level], kern.qs)
+                          for level in range(1, 52)]
 
     def test_no_fraction_arithmetic_in_block(self, monkeypatch):
         # the running sums stay in integers; each entry is one Fraction

@@ -114,6 +114,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             harness.config_from_dict({"mode": "exact-dist", field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("q", False), ("qbar", False), ("u", True), ("tolerance", True),
+        ("strengths", [True, False]), ("strengths", [0.5, True])])
+    def test_booleans_rejected_in_float_fields(self, field, value):
+        # float() would read a JSON true as 1.0 and false as 0.0
+        with pytest.raises(ValueError, match=field):
+            harness.config_from_dict({"mode": "simulate", field: value})
+
     def test_integral_floats_keep_their_digest(self):
         a = harness.config_from_dict(
             {"mode": "exact-dist", "m": 5.0, "times": [9.0], "levels": [2]})

@@ -36,7 +36,13 @@ that checkout's `src/`:
   LAYER_REPEATS calls;
 - the milliseconds per windowed onset determinant, `region1_prob([0.0],
   [20])` and the two-time `region1_prob([-1.0, 1.0], [8, 12])`, each the
-  median of LAYER_REPEATS calls.
+  median of LAYER_REPEATS calls;
+- the exact law's layer: the milliseconds per cold
+  `joint_probability([100], [45], (0.5,) * 50)` and per two-time
+  `joint_probability([80, 100], [15, 30], (0.2,) + (0.1,) * 49)`, each
+  building its own kernel, and the seconds for the full M=100, t=200
+  column (levels 1..101 at q=0.1 with one slow particle at 0.2) on one
+  kernel, each the median of LAYER_REPEATS calls.
 Standard library only.
 """
 
@@ -57,13 +63,14 @@ TRACED_RUNS = 3
 # Run in a checkout's root; prints one JSON line mapping each point,
 # "M=..,samples=..,t=..", to its draw_ns_per_cell and update_ns_per_cell,
 # "airy_pair" to its two per-point costs, each law to ms_at_0,
-# "combinatorial_suite" to ms_per_call and "region1_prob" to its two
-# per-call costs.
+# "combinatorial_suite" to ms_per_call, "region1_prob" to its two
+# per-call costs and "finite_kernel" to its two per-call costs and the
+# column's seconds.
 LAYER_PROBE = """
 import json, statistics, sys, time
 sys.path.insert(0, "src")
 import numpy as np
-from steptasep import fredholm, harness, system
+from steptasep import finite_kernel, fredholm, harness, system
 from steptasep.limit_kernels.special import airy_pair
 
 points, repeats, seed = json.loads(sys.argv[1])
@@ -127,6 +134,21 @@ out["region1_prob"] = {
         lambda: fredholm.region1_prob([0.0], [20])),
     "two_time_ell_8_12_ms": 1e3 * median_time(
         lambda: fredholm.region1_prob([-1.0, 1.0], [8, 12]))}
+
+
+def column():
+    kern = finite_kernel.FiniteKernel((0.2,) + (0.1,) * 99)
+    for level in range(1, 102):
+        finite_kernel.joint_probability([200], [level], kern)
+
+
+out["finite_kernel"] = {
+    "cold_ell_45_ms": 1e3 * median_time(
+        lambda: finite_kernel.joint_probability([100], [45], (0.5,) * 50)),
+    "two_time_ell_15_30_ms": 1e3 * median_time(
+        lambda: finite_kernel.joint_probability(
+            [80, 100], [15, 30], (0.2,) + (0.1,) * 49)),
+    "column_m100_t200_s": median_time(column)}
 print(json.dumps(out))
 """
 
