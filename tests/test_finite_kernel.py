@@ -261,7 +261,7 @@ class TestKernelBlock:
     def test_rows_built_once_per_time_and_grown(self, monkeypatch):
         # a full M=50, t=100 column on one kernel: each level's window
         # reaches further in x, and the one row of t=100 grows to meet it;
-        # rebuilding it per level made this column slower than binomials
+        # a row rebuilt per level costs the column O(n) rebuilds
         builds, growths = [], []
 
         class Spy(fk._Psi1Row):
