@@ -26,6 +26,20 @@ of 8 and the tie words are read in cell order from their own stream, a
 sample's value at time t depends neither on the blocking nor on the
 horizon or the other times asked for.
 
+The same keying makes the samples free to split across processes: a share
+of samples yields the same bits whichever process draws it. A call of at
+least PARALLEL_CELLS cells (last time x M x samples) cuts its samples into
+one equal contiguous share per core the process may run on (at most one
+per sample); the caller forks a child for every share but the first, runs
+that one itself, and reads each child's int64 block back through a pipe.
+Both the serial and the forked call run their shares through `_share`, so
+the output is bit-identical to a one-process run. The floor sits where a
+fork pays: a fork costs about 5-9 ms and 10**8 cells take about 0.2 s to
+sample serially, while below about 5e7 cells a split showed no gain,
+because halving the samples halves each step's numpy batch. On a platform
+without `os.fork` or `os.sched_getaffinity` every call runs in one
+process.
+
 The module also carries the deterministic mean-position law: the limit of
 L(uM, M)/M is 0 up to u = 1/(1-q), follows a square-root curve A2(u) in the
 bulk, and for a slow front particle (qbar > q) switches at u_c to the linear
@@ -37,6 +51,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +74,12 @@ MAX_BATCH = 256
 # is about a minute and a half; the largest built-in run, a fig8 panel at
 # t=3000 with 10^4 samples of 100 particles, is 3e9 cells.
 MAX_CELLS = 2 * 10 ** 10
+
+# Work of one sample_ensemble call, in cells, from which its samples are
+# split over the cores the process may use, one forked process per share;
+# memory is then one batch block of stay bits per process. See the module
+# docstring for why the floor sits here.
+PARALLEL_CELLS = 10 ** 8
 
 # Steps of stay bits drawn at a time; a multiple of 8, so that a block's
 # bytes fill whole words and blocks follow each other in the byte stream.
@@ -81,7 +103,8 @@ class SystemSpec:
                            _checked_int(self.m, "m", 1, integral=True))
         object.__setattr__(self, "horizon", _checked_int(
             self.horizon, "horizon", 0, integral=True))
-        object.__setattr__(self, "rates", tuple(float(q) for q in self.rates))
+        object.__setattr__(self, "rates", tuple(
+            _rate(q, label) for label, q in enumerate(self.rates, 1)))
         if len(self.rates) != self.m:
             raise ValueError(f"need {self.m} rates, got {len(self.rates)}")
         if any(not (0.0 <= q < 1.0) for q in self.rates):
@@ -99,10 +122,18 @@ def defect_rates(m, q, defects):
     """
     rates = [float(q)] * m
     for label, rate in defects.items():
-        if not 1 <= label <= m:
-            raise ValueError(f"defect label {label} outside 1..{m}")
-        rates[label - 1] = float(rate)
+        label = _checked_int(label, "defect label", 1, m)
+        rates[label - 1] = _rate(rate, label)
     return tuple(rates)
+
+
+def _rate(q, label):
+    """float(q), the stay rate of particle `label`; a bool is refused, not
+    read as 0.0 or 1.0."""
+    if isinstance(q, (bool, np.bool_)):
+        raise ValueError(
+            f"stay rate of particle {label} must be a number, got {q!r}")
+    return float(q)
 
 
 def _initial_sites(m, dtype=np.int64):
@@ -263,14 +294,17 @@ def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=None):
     """n_samples independent trajectories, reported at the requested times.
 
     Returns an (n_samples, len(times)) integer array. Sample k is driven by
-    the substream keyed (master_seed, k); reruns and different chunk sizes
-    give bit-identical output, and a sample's value at a time does not
-    depend on the other times asked for. The default chunk size is
+    the substream keyed (master_seed, k); reruns, different chunk sizes and
+    any split over processes give bit-identical output, and a sample's
+    value at a time does not depend on the other times asked for. The
+    default chunk size, the largest batch of samples drawn at once, is
     adaptive_chunk of the last time.
 
-    A run of more than MAX_CELLS = 2e10 cells (last time x M x n_samples,
-    about a minute and a half of sampling on a 2-core x86 box) raises a
-    ValueError before any draw.
+    A run of at least PARALLEL_CELLS = 1e8 cells (last time x M x
+    n_samples) is split over the cores the process may use (see
+    `_in_shares`). A run of more than MAX_CELLS = 2e10 cells, about a
+    minute and a half of sampling in one process on a 2-core x86 box,
+    raises a ValueError before any draw.
     """
     times = [_checked_int(t, "time", 0, spec.horizon) for t in times]
     _checked_int(master_seed, "master_seed", 0, 2 ** 64 - 1)
@@ -284,19 +318,107 @@ def sample_ensemble(spec, times, n_samples, master_seed, chunk_size=None):
     if chunk_size is None:
         chunk_size = adaptive_chunk(horizon, spec.m)
     chunk_size = _checked_int(chunk_size, "chunk_size", 1)
+    return _in_shares(
+        lambda lo, hi: _share(spec.rates, times, master_seed, lo, hi,
+                              chunk_size),
+        n_samples, len(times), _workers(cells, n_samples))
 
+
+def _share(rates, times, master_seed, lo, hi, chunk_size):
+    """Samples lo..hi-1 at `times`, as a (hi - lo, len(times)) int64
+    array, drawn in batches of at most chunk_size samples."""
+    horizon = max(times, default=0)
     by_time = {}
     for col, t in enumerate(times):
         by_time.setdefault(t, []).append(col)
-
-    out = np.zeros((n_samples, len(times)), dtype=np.int64)
-    for lo in range(0, n_samples, chunk_size):
-        hi = min(lo + chunk_size, n_samples)
-        for t, pos in _trajectories(spec.rates, horizon, master_seed,
-                                    range(lo, hi)):
+    out = np.zeros((hi - lo, len(times)), dtype=np.int64)
+    for start in range(lo, hi, chunk_size):
+        stop = min(start + chunk_size, hi)
+        for t, pos in _trajectories(rates, horizon, master_seed,
+                                    range(start, stop)):
             for col in by_time.get(t, []):
-                out[lo:hi, col] = pos[:, -1]
+                out[start - lo:stop - lo, col] = pos[:, -1]
     return out
+
+
+def _workers(cells, n_samples):
+    """Processes for a call of `cells` cells: one per core the process may
+    run on, at most one per sample, from PARALLEL_CELLS cells on; one
+    below it or where the platform cannot fork."""
+    if (cells < PARALLEL_CELLS or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_samples)
+
+
+def _in_shares(run, n_samples, width, workers):
+    """run(lo, hi) over `workers` equal contiguous shares of 0..n_samples,
+    the blocks stacked in sample order.
+
+    run returns a (hi - lo, width) int64 array. The caller runs the first
+    share; each other share runs in a forked child, which writes its block
+    to a pipe and leaves by os._exit, with status 0 only if it wrote the
+    whole block. The parent reads each pipe to EOF, reaps the child, and
+    raises a RuntimeError naming the samples of a child that failed or
+    sent a block of the wrong size. If the parent raises, every child
+    not yet reaped is killed and reaped first: no process outlives the
+    call. A child runs only numpy ufuncs and Philox draws, no BLAS, and
+    skips the parent's exit handlers and buffered output.
+    """
+    edges = [n_samples * w // workers for w in range(workers + 1)]
+    children, pipes = [], []  # children not yet reaped, in sample order
+    try:
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            read_fd, write_fd = os.pipe()
+            pipes.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(run, lo, hi, write_fd)
+            finally:
+                os.close(write_fd)
+            children.append((pid, read_fd, lo, hi))
+        blocks = [run(0, edges[1])]
+        while children:
+            pid, read_fd, lo, hi = children[0]
+            chunks = []
+            while chunk := os.read(read_fd, 2 ** 16):
+                chunks.append(chunk)
+            data = b"".join(chunks)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            size = (hi - lo) * width * 8
+            if status or len(data) != size:
+                raise RuntimeError(
+                    f"samples {lo}..{hi - 1} failed in a forked process "
+                    f"(exit status {status}, {len(data)} of {size} bytes)")
+            blocks.append(np.frombuffer(data, np.int64).reshape(hi - lo,
+                                                                 width))
+    finally:
+        for pid, *_ in children:
+            os.kill(pid, 9)  # SIGKILL, without loading the signal module
+            os.waitpid(pid, 0)
+        for fd in pipes:
+            os.close(fd)
+    return np.concatenate(blocks)
+
+
+def _child(run, lo, hi, write_fd):
+    """A forked child's whole life: write run(lo, hi) to write_fd and
+    exit, with status 0 only if the whole block was written. An error
+    prints its traceback to stderr and exits with status 1; the child
+    never returns into the caller's code."""
+    status = 1
+    try:
+        block = memoryview(run(lo, hi)).cast("B")
+        while block:
+            block = block[os.write(write_fd, block):]
+        status = 0
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """tools/bench_record.py: its layer probe and its bookkeeping.
 
 The probe reaches into the package by name (`system._evolve`,
+`system._share`, `system._workers`,
 `airy_pair`, `tw_gue_cdf`, `goe2_cdf`, `harness._suite_combinatorial`,
 `region1_prob`, `joint_probability`, `FiniteKernel`), so it is run once
 at a tiny sampler point; a renamed function then fails here rather than
@@ -38,8 +39,11 @@ def test_layer_probe_runs_in_the_repo_root():
     assert set(out) == {"M=4,samples=2,t=16", "airy_pair", "tw_gue_cdf",
                         "goe2_cdf", "combinatorial_suite", "region1_prob",
                         "finite_kernel"}
-    assert set(out["M=4,samples=2,t=16"]) == {"draw_ns_per_cell",
-                                              "update_ns_per_cell"}
+    point = out["M=4,samples=2,t=16"]
+    assert set(point) == {"draw_ns_per_cell", "update_ns_per_cell",
+                          "sample_ensemble"}
+    assert point["sample_ensemble"]["wall_s"] > 0
+    assert point["sample_ensemble"]["processes"] == 1
     assert set(out["airy_pair"]) == {"window_80_ns_per_point",
                                      "wide_32640_ns_per_point"}
     assert out["tw_gue_cdf"]["ms_at_0"] > 0

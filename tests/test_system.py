@@ -1,6 +1,7 @@
 """Simulator checks: dynamics, couplings, reproducibility, mean law."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,26 @@ class TestSpecAndInitial:
         assert rates == (0.2, 0.1, 0.1, 0.3, 0.1)
         with pytest.raises(ValueError):
             sy.defect_rates(3, 0.1, {4: 0.2})
+
+    @pytest.mark.parametrize("rates, label", [
+        ((False, 0.5), 1), ((0.5, True), 2), ((0.2, np.False_), 2)])
+    def test_boolean_rates_name_their_particle(self, rates, label):
+        # False once ran as the rate 0.0
+        with pytest.raises(ValueError,
+                           match=f"^stay rate of particle {label} must be"):
+            sy.SystemSpec(m=2, rates=rates, horizon=3)
+
+    @pytest.mark.parametrize("defects", [
+        {True: 0.2}, {np.True_: 0.2}, {1.5: 0.2}, {"1": 0.2}, {0: 0.2}])
+    def test_defect_labels_validated(self, defects):
+        # True once put the defect on particle 1, 1.5 died in list indexing
+        with pytest.raises(ValueError, match="^defect label must be"):
+            sy.defect_rates(3, 0.1, defects)
+
+    def test_boolean_defect_rate_refused(self):
+        with pytest.raises(ValueError, match="^stay rate of particle 2"):
+            sy.defect_rates(3, 0.1, {2: False})
+        assert sy.defect_rates(3, 0.1, {np.int64(2): 0.2}) == (0.1, 0.2, 0.1)
 
 
 class TestStep:
@@ -300,6 +321,84 @@ class TestEnsemble:
         assert np.all(ens[:, 0] == 0)  # t < M
         assert np.all(ens[:, 1] == 0)
         assert np.all(ens[:, 2] <= 1)
+
+
+@pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="the sampler forks only where os.fork and sched_getaffinity exist")
+class TestForkedShares:
+    """With PARALLEL_CELLS at 0 every call splits its samples over forked
+    processes, one share per core the process may use; the output stays
+    that of one process, and no child outlives the call."""
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n_samples", [1, 3, 23])
+    @pytest.mark.parametrize("chunk_size", [None, 1, 3, 81])
+    @pytest.mark.parametrize("rates", [sy.uniform_rates(5, 0.3),
+                                       sy.defect_rates(5, 0.2, {1: 0.6})])
+    def test_bit_identical_to_one_process(self, rates, chunk_size,
+                                          n_samples, monkeypatch):
+        spec = sy.SystemSpec(m=5, rates=rates, horizon=2 * sy.TIME_BLOCK)
+        times = [0, 7, sy.TIME_BLOCK + 1, 2 * sy.TIME_BLOCK]
+        want = sy.sample_ensemble(spec, times, n_samples, 42, chunk_size)
+        monkeypatch.setattr(sy, "PARALLEL_CELLS", 0)
+        for _ in range(3):
+            got = sy.sample_ensemble(spec, times, n_samples, 42, chunk_size)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("cores, n_samples, workers", [
+        (2, 1, 1), (2, 3, 2), (5, 3, 3), (5, 400, 5)])
+    def test_one_share_per_core_at_most_one_per_sample(
+            self, cores, n_samples, workers, monkeypatch):
+        monkeypatch.setattr(sy.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+        assert sy._workers(sy.PARALLEL_CELLS - 1, n_samples) == 1
+        assert sy._workers(sy.PARALLEL_CELLS, n_samples) == workers
+        spec = spec_uniform(4, 0.2, 30)
+        want = sy.sample_ensemble(spec, [30], n_samples, 6)
+        monkeypatch.setattr(sy, "PARALLEL_CELLS", 0)
+        assert np.array_equal(sy.sample_ensemble(spec, [30], n_samples, 6),
+                              want)
+        self.assert_no_child_left()
+
+    @staticmethod
+    def failing_from(first, monkeypatch):
+        """Make every batch that holds a sample index >= first raise."""
+        trajectories = sy._trajectories
+
+        def failing(rates, horizon, master_seed, indices):
+            if indices[-1] >= first:
+                raise ArithmeticError(f"sample {indices[-1]}")
+            return trajectories(rates, horizon, master_seed, indices)
+
+        monkeypatch.setattr(sy, "_trajectories", failing)
+
+    def test_child_error_names_its_samples(self, monkeypatch, capfd):
+        # two shares of 10 samples: 0..4 in this process, 5..9 in a child
+        monkeypatch.setattr(sy.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(sy, "PARALLEL_CELLS", 0)
+        self.failing_from(5, monkeypatch)
+        spec = spec_uniform(4, 0.2, 30)
+        with pytest.raises(RuntimeError,
+                           match=r"^samples 5\.\.9 failed in a forked "
+                                 r"process \(exit status 1, 0 of 40 bytes"):
+            sy.sample_ensemble(spec, [30], 10, 6, chunk_size=2)
+        self.assert_no_child_left()
+        assert "ArithmeticError: sample 6" in capfd.readouterr().err
+
+    def test_error_in_this_process_reaps_children(self, monkeypatch):
+        monkeypatch.setattr(sy.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(sy, "PARALLEL_CELLS", 0)
+        self.failing_from(0, monkeypatch)
+        spec = spec_uniform(4, 0.2, 30)
+        with pytest.raises(ArithmeticError, match="^sample 1$"):
+            sy.sample_ensemble(spec, [30], 10, 6, chunk_size=2)
+        self.assert_no_child_left()
 
 
 class TestPositionWidth:

@@ -22,11 +22,15 @@ key, per side: every run and each metric's median, so that a layer's move
 can be told from the host's.  Last, `layers` holds per side, measured in
 that checkout's `src/`:
 - the nanoseconds per cell of the sampler's stay-bit draw and of its
-  update rule at each of LAYER_POINTS: the full `sample_ensemble` and the
-  same call with `system._evolve` replaced by a generator that yields the
-  positions unchanged, alternately, LAYER_REPEATS times each.  The median
-  of the second is the draw, and the difference of the medians is the
-  update;
+  update rule at each of LAYER_POINTS, in one process: all samples
+  through the share routine `system._share`, and the same call with
+  `system._evolve` replaced by a generator that yields the positions
+  unchanged.  The median of the second is the draw, and the difference of
+  the medians is the update.  Alternating with them, the full
+  `sample_ensemble` call, which splits a point of at least
+  `system.PARALLEL_CELLS` cells over forked processes: its median wall
+  seconds and the number of processes it used (`system._workers`), each
+  of the three timed LAYER_REPEATS times;
 - the nanoseconds per `airy_pair` point on the 80 Gauss-Legendre nodes of
   the refined Nystrom window on (0, 20] and on 32,640 points over
   [-3, 45], and the milliseconds per `tw_gue_cdf(0)` and `goe2_cdf(0)`
@@ -61,7 +65,8 @@ LAYER_REPEATS = 3
 TRACED_RUNS = 3
 
 # Run in a checkout's root; prints one JSON line mapping each point,
-# "M=..,samples=..,t=..", to its draw_ns_per_cell and update_ns_per_cell,
+# "M=..,samples=..,t=..", to its draw_ns_per_cell and update_ns_per_cell
+# and the wall seconds and process count of its sample_ensemble call,
 # "airy_pair" to its two per-point costs, each law to ms_at_0,
 # "combinatorial_suite" to ms_per_call, "region1_prob" to its two
 # per-call costs and "finite_kernel" to its two per-call costs and the
@@ -82,25 +87,46 @@ def idle(stay, pos=None):
         yield pos
 
 
-def seconds(m, n, t, rule):
-    system._evolve = rule
-    spec = system.SystemSpec(m=m, rates=system.uniform_rates(m, 0.1),
+def spec(m, t):
+    return system.SystemSpec(m=m, rates=system.uniform_rates(m, 0.1),
                              horizon=t)
+
+
+def share_seconds(m, n, t, rule):
+    # one process's cost: all n samples through the share routine, or the
+    # whole call in a checkout whose sampler has none and never forks
+    system._evolve = rule
+    point = spec(m, t)
     start = time.perf_counter()
-    system.sample_ensemble(spec, [t], n, seed)
+    if hasattr(system, "_share"):
+        system._share(point.rates, [t], seed, 0, n,
+                      system.adaptive_chunk(t, m))
+    else:
+        system.sample_ensemble(point, [t], n, seed)
     return time.perf_counter() - start
 
 
+def call_seconds(m, n, t):
+    system._evolve = evolve
+    point = spec(m, t)
+    start = time.perf_counter()
+    system.sample_ensemble(point, [t], n, seed)
+    return time.perf_counter() - start
+
+
+workers = getattr(system, "_workers", lambda cells, n: 1)
 out = {}
 for m, n, t in points:
-    # full and draw-only runs alternate, so a drift in host speed meets both
-    runs = [(seconds(m, n, t, evolve), seconds(m, n, t, idle))
-            for _ in range(repeats)]
-    full, draw = (statistics.median(side) for side in zip(*runs))
+    # the three timings alternate, so a drift in host speed meets each
+    runs = [(share_seconds(m, n, t, evolve), share_seconds(m, n, t, idle),
+             call_seconds(m, n, t)) for _ in range(repeats)]
+    full, draw, call = (statistics.median(side) for side in zip(*runs))
     ns = 1e9 / (m * n * t)
     out[f"M={m},samples={n},t={t}"] = {
         "draw_ns_per_cell": draw * ns,
-        "update_ns_per_cell": (full - draw) * ns}
+        "update_ns_per_cell": (full - draw) * ns,
+        "sample_ensemble": {"wall_s": call,
+                            "processes": workers(m * n * t, n)}}
 system._evolve = evolve
 
 
