@@ -29,6 +29,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import mul
+
+import numpy as np
 
 # Hard guard for 2^(N*M) matrix enumerations.
 ENUMERATION_CELL_LIMIT = 22
@@ -37,11 +40,15 @@ ENUMERATION_CELL_LIMIT = 22
 def as_fraction(x):
     """Exact rational from an int, Fraction, string, or decimal-literal float.
 
-    Floats are converted through repr so 0.3 means 3/10, not the binary
-    double closest to it. Oracle probabilities stay exact that way.
+    Floats, numpy's too, are converted through the repr of the Python float
+    so 0.3 means 3/10, not the binary double closest to it. Oracle
+    probabilities stay exact that way. A bool, Python's or numpy's, raises
+    ValueError rather than reading as 0 or 1.
     """
-    if isinstance(x, float):
-        return Fraction(repr(x))
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"expected a number, got {x!r}")
+    if isinstance(x, (float, np.floating)):
+        return Fraction(repr(float(x)))
     return Fraction(x)
 
 
@@ -281,11 +288,13 @@ def elementary_symmetric(xs):
 def complete_homogeneous(e, degree, h=None):
     """h_0..h_degree (coefficients of prod_i 1/(1 - x_i s)) from the e_k of
     the same x, by h_k = sum_{j>=1} (-1)^(j+1) e_j h_(k-j). A given list
-    h_0..h_(k-1) is extended in place, so no coefficient is computed twice."""
+    h_0..h_(k-1) is extended in place, so no coefficient is computed twice.
+    The recurrence reads nothing of h but its last len(e) - 1 entries,
+    which may be any seeds."""
     h = [1] if h is None else h
-    for k in range(len(h), degree + 1):
-        h.append(sum((-1) ** (j + 1) * e[j] * h[k - j]
-                     for j in range(1, min(k, len(e) - 1) + 1)))
+    signed = [v if j % 2 else -v for j, v in enumerate(e)][1:]
+    for _ in range(len(h), degree + 1):
+        h.append(sum(map(mul, signed, reversed(h))))
     return h
 
 

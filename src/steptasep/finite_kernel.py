@@ -6,9 +6,9 @@ the kernel K is built from two single-contour functions Psi1, Psi2. Both are
 evaluated in closed form here: Psi2 is a single coefficient of a finite
 Laurent polynomial, Psi1 is the pair of residues (at 0 and at -1) of its
 integrand, so every kernel entry is an exact rational number when the stay
-rates are rational. The residues need the series prod_i 1/(1 - c_i s) for
-c = p and c = q; its coefficients are the complete homogeneous polynomials,
-extended one degree at a time from the elementary symmetric ones.
+rates are rational. The residue at -1 needs prod_i 1/(1 - q_i s), whose
+coefficients, the complete homogeneous polynomials, grow one degree at a
+time from the elementary symmetric ones.
 
 All of this runs on plain integers over fixed denominators. With B and D
 the least common multiples of the denominators of the q_i and of the
@@ -24,31 +24,19 @@ per time t, each built once and then only grown. No binomial coefficient
 is evaluated per value:
 - Psi2's row is the coefficient list of D^M (1 + 1/w)^T prod_i(1 - p_i w),
   the binomial row of T times one linear factor D - P_i w at a time.
-- The residue at -1 puts (-1)^a B^M prod_i(1 - q_i) acc(a) D^max(x - T, 0)
-  into Psi1's numerator, with a = T - x - 1 and acc(a) = sum_j c_j C(a, j)
-  a polynomial of degree deg = T - 1. Its Newton coefficients at a = 0
-  (x = T - 1) are exactly c_j = (-1)^j H_(deg-j)(Q) B^j, the forward
-  differences there. From that anchor the row walks to lower x by
-  forward steps of the difference table and to higher x by backward
-  steps, deg integer additions per step.
-- For x >= T the residue at 0 adds B^(M+deg) sum_j C(-T, k-j) H_j D^(k-j),
-  k = x - T, a Cauchy product that gains one term per k; its factors
-  C(-T, i) D^i follow each other by one multiply and one exact division.
-
-A kernel block scales the stretch of the Psi1 row it reaches to the one
-largest power of D it needs, once. Every product Psi1(w + d) Psi2(w) along
-a diagonal is then an integer over the same denominator, the running sums
-are plain integer prefix sums, and that one power of D times B^(M + deg)
-D^M is the block's denominator. The only Fraction built per kernel entry
-is the finished value, and on the float route not even that: the integer
-division total / den is correctly rounded, so the float, like the
-normalised Fraction, depends only on the rational value and not on the
-denominator it was written over.
-
-The independent routes, Psi1 and Psi2 by their residue formulas in Fraction
-arithmetic, the kernel series summed term by term and direct double-contour
-quadrature of the kernel, live with the tests (tests/oracles.py), which
-compare them with this module pointwise.
+- Below T, Psi1's numerator is the residue at -1 alone,
+  (-1)^a B^M prod_i(1 - q_i) acc(a) with a = T - x - 1 and acc(a) =
+  sum_j c_j C(a, j) of degree deg = T - 1. Its Newton coefficients at a = 0
+  (x = T - 1) are c_j = (-1)^j H_(deg-j)(Q) B^j, and the row walks down
+  from there by forward steps of the difference table, deg additions each.
+- From T up, one order-M recurrence: prod_i(1 - p_i z) cancels the poles
+  at the 1/p_i, so sum_{k=0..M} (-1)^k e_k(p) Psi1(x - k, t) is 0 at every
+  x >= 1, and at T = 0 it is 1 at x = 0 and 0 below. Over the integers
+  V(x) = D^(x-T+M) B^(M+deg) Psi1(x, t) this is
+  V(x) = sum_{k=1..M} (-1)^(k+1) E_k V(x - k), the recurrence of
+  combinatorics.complete_homogeneous, seeded by the M values below T (at
+  T = 0 by V(0) = B^M D^M alone); the numerator is V(x) / D^M, exactly.
+  Run downward it would divide by e_M, which is 0 if a stay rate is.
 
 The kernel is the finite series K(t1, x1; t2, x2) = sum_w Psi1(w + d, t1)
 Psi2(w, t2) along the diagonal d = x1 - x2, with Psi2 supported on
@@ -56,9 +44,25 @@ Psi2(w, t2) along the diagonal d = x1 - x2, with Psi2 supported on
 both positions by one drops one term:
     K(x1, x2) = Psi1(x1) Psi2(x2) + K(x1 + 1, x2 + 1),
 and the sum is empty (K = 0) for x2 > t2 - M + 1. For t1 < t2 it is minus
-the prefix over w from -M to min(x2 - 1, t2 - M + 1), empty for x2 <= -M.
-A kernel block is therefore one running sum per diagonal, each Psi1*Psi2
-product formed once.
+the sum over w < x2; the sum over every w is then the free weight
+phi = C(t2 - t1, -d), so K is the same sum over w >= x2 minus phi, one
+integer per diagonal. A kernel block is therefore one running sum per
+diagonal, down from T2 in either time order, each Psi1*Psi2 product
+formed once, and it reads Psi1 only at x >= min(xs1). It scales the
+stretch of the Psi1 row it reaches to the one largest power of D it
+needs, once. Every product Psi1(w + d) Psi2(w) along a diagonal is then an
+integer over the same denominator, the running sums are plain integer
+sums, and that one power of D times B^(M + deg) D^M is the block's
+denominator. The only Fraction built per kernel entry is the finished
+value, and on the float route not even that: the integer division
+total / den is correctly rounded, so the float, like the normalised
+Fraction, depends only on the rational value and not on the denominator
+it was written over.
+
+The independent routes, Psi1 and Psi2 by their residue formulas in Fraction
+arithmetic, the kernel series summed term by term and direct double-contour
+quadrature of the kernel, live with the tests (tests/oracles.py), which
+compare them with this module pointwise.
 
 Windows: the event L(t, M) >= l corresponds to "no points in (theta, infty)"
 with theta = t - M + 1 - l. Kernel columns vanish identically at positions
@@ -74,8 +78,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import lcm, prod
-from operator import add, mul, sub
+from math import comb, lcm, prod
+from operator import add, mul
 
 import numpy as np
 
@@ -109,47 +113,40 @@ class _Psi1Row:
     at x = T + k (T = t - M + 1)."""
 
     def __init__(self, kern, t):
-        # what growing above T reads of the kernel; no reference back to it
-        self._d, self._dpow = kern._d, kern._dpow
-        self._ep, self._hp = kern._ep, kern._hp
-        self.horizon = horizon = max_level(t, kern.m)
-        deg = max(horizon - 1, 0)
-        # B^(M+deg), the residue at 0's factor over the common denominator
-        self.scale = _powers(kern._bpow, kern.m + deg)[kern.m + deg]
+        self._m = m = kern.m
+        self.horizon = horizon = max_level(t, m)
+        self._ep, self._dm = kern._ep, _powers(kern._dpow, m)[m]
         self.below, self.above = [], []
         if horizon >= 1:
+            deg = horizon - 1
             h = complete_homogeneous(kern._eq, deg, kern._hq)
             bpow = _powers(kern._bpow, deg)
-            # B^M prod(1 - q) (-1)^j c_j, for j = deg down to 0
-            signed = [kern._prod_one_minus_q * h[deg - j] * bpow[j]
-                      for j in range(deg, -1, -1)]
+            # the difference table of acc at a = 0: B^M prod(1 - q) c_j
+            self._low = [(-1) ** j * kern._prod_one_minus_q * h[deg - j]
+                         * bpow[j] for j in range(deg + 1)]
+            self._grow_below(m)
+            # V(x) = D^(x-T+M) B^(M+deg) Psi1(x, t) at x = T-M..T-1
+            self._run = [v * kern._dpow[i]
+                         for i, v in enumerate(reversed(self.below))]
         else:
-            signed = [0]  # no residue at -1
-        # the difference table of acc at a = len(below), c_0..c_deg at 0;
-        # a forward step adds each difference's successor to it
-        self._low = [(-1) ** j * v for j, v in enumerate(reversed(signed))]
-        # the table at a = -len(above), as (-1)^j times the j-th difference
-        # from j = deg down: a backward step is then its running sum
-        self._high = signed
-        self._cauchy = []  # C(-T, i) D^i for i = 0..len(above) - 1
+            self._low = [0]  # no residue at -1
+            self.above = [_powers(kern._bpow, m)[m]]  # Psi1(0, t) = 1
+            self._run = [self.above[0] * self._dm]
 
     def _grow_below(self, n):
+        # a forward step of the difference table of acc at a = len(below)
+        # adds each difference's successor to it
         low, below = self._low, self.below
         for a in range(len(below), n):
             below.append(-low[0] if a % 2 else low[0])
             low[:-1] = map(add, low, low[1:])
 
     def _grow_above(self, n):
-        above, g = self.above, self._cauchy
-        dpow = _powers(self._dpow, n)
-        for k in range(len(above), n):
-            g.append(g[-1] * self._d * (1 - k - self.horizon) // k
-                     if k else 1)
-            h = complete_homogeneous(self._ep, k, self._hp)
-            self._high = list(accumulate(self._high))
-            residue = self._high[-1] * dpow[k]  # at a = -k-1
-            above.append(self.scale * sum(map(mul, g, h[k::-1]))
-                         + (residue if k % 2 else -residue))
+        # V(x) = sum_k (-1)^(k+1) E_k V(x - k) reads the run's last M only
+        run, start = self._run, len(self._run)
+        complete_homogeneous(self._ep, start + n - len(self.above) - 1, run)
+        self.above += [v // self._dm for v in run[start:]]
+        del run[:-self._m]
 
     def span(self, lo, hi):
         """[N1(x, t) for x in lo..hi], growing the row where it falls
@@ -189,7 +186,6 @@ class FiniteKernel:
         self._bpow, self._dpow = [1, self._b], [1, self._d]
         self._rows1 = {}
         self._rows2 = {}
-        self._hp = [1]
         self._hq = [1]
 
     def __len__(self):
@@ -249,21 +245,19 @@ class FiniteKernel:
         from one correctly rounded integer division."""
         m = self.m
         horizon1, horizon2 = max_level(t1, m), max_level(t2, m)
-        forward = t1 >= t2
         xs1, xs2 = list(xs1), list(xs2)
         if not (xs1 and xs2):
             return [[] for _ in xs1]
         a1, b1, a2, b2 = min(xs1), max(xs1), min(xs2), max(xs2)
         # diagonal d = x1 - x2 meets the columns x2 in max(a2, a1 - d)..
-        # min(b2, b1 - d); its sum runs over w down from T2 to max(x2, -M),
-        # or up from -M to min(x2 - 1, T2)
+        # min(b2, b1 - d); its sum runs over w down from T2 to max(x2, -M)
         diagonals = []
         for d in range(a1 - b2, b1 - a2 + 1):
-            lo2, hi2 = max(a2, a1 - d), min(b2, b1 - d)
-            lo, hi = ((max(lo2, -m), horizon2) if forward
-                      else (-m, min(hi2 - 1, horizon2)))
+            lo2 = max(a2, a1 - d)
+            lo = max(lo2, -m)
             # an empty walk ends at lo - 1, so its slices below are empty
-            diagonals.append((d, lo2, hi2, lo, max(hi, lo - 1)))
+            diagonals.append((d, lo2, min(b2, b1 - d), lo,
+                              max(horizon2, lo - 1)))
         # Psi1 over D^kmax B^(M+deg1) throughout, kmax the largest power of
         # D the block reaches; with no walk at all, an empty span
         xlo = min((lo + d for d, _, _, lo, hi in diagonals if lo <= hi),
@@ -280,21 +274,14 @@ class FiniteKernel:
         for d, lo2, hi2, lo, hi in diagonals:
             terms = list(map(mul, p1[lo + d - xlo:hi + d - xlo + 1],
                              p2[lo + m:hi + m + 1]))
-            # sums[k]: the first k terms in the walk's direction, with a
-            # minus sign on a backward walk; columns lo2..hi2 take the sums
-            # of k = first..last terms, and k past either end of the walk
-            # the empty or the full sum
-            if forward:
-                sums = list(accumulate(reversed(terms), initial=0))
-                first, last = hi + 1 - hi2, hi + 1 - lo2
-            else:
-                sums = list(accumulate(terms, sub, initial=0))
-                first, last = lo2 + m, hi2 + m
-            pad = max(-first, 0)
-            sums = [0] * pad + sums + sums[-1:] * max(last - len(terms), 0)
-            run = sums[first + pad:last + pad + 1]
-            if forward:
-                run.reverse()
+            # tails[i]: the terms from w = lo + i up to T2, which column
+            # x2 = lo + i takes; below lo it takes them all, past T2 none
+            tails = list(accumulate(reversed(terms), initial=0))[::-1]
+            run = ([tails[0]] * (lo - lo2) + tails
+                   + [0] * max(hi2 - hi - 1, 0))[:hi2 - lo2 + 1]
+            if t1 < t2 and d <= 0:  # minus phi, the sum over every w
+                free = comb(t2 - t1, -d) * den
+                run = [v - free for v in run]
             starts.append(len(values) - lo2)
             values += ([Fraction(v, den) for v in run] if exact
                        else [v / den for v in run])

@@ -3,7 +3,8 @@
 The probe reaches into the package by name (`system._evolve`,
 `system._share`, `system._workers`,
 `airy_pair`, `tw_gue_cdf`, `goe2_cdf`, `harness._suite_combinatorial`,
-`region1_prob`, `joint_probability`, `FiniteKernel`), so it is run once
+`region1_prob`, `joint_probability`, `FiniteKernel`, `max_level`,
+`FiniteKernel._psi1_row`), so it is run once
 at a tiny sampler point; a renamed function then fails here rather than
 in a benchmark record.  The pair counting, quartiles and run order are
 checked on hand-made runs.
@@ -54,7 +55,8 @@ def test_layer_probe_runs_in_the_repo_root():
     assert min(out["region1_prob"].values()) > 0
     assert set(out["finite_kernel"]) == {"cold_ell_45_ms",
                                          "two_time_ell_15_30_ms",
-                                         "column_m100_t200_s"}
+                                         "column_m100_t200_s",
+                                         "psi1_row_t3000_600_s"}
     assert min(out["finite_kernel"].values()) > 0
 
 

@@ -391,3 +391,18 @@ def test_fraction_conversion_reads_decimal_literals():
     assert comb.as_fraction(0.3) == Fraction(3, 10)
     assert comb.as_fraction(1) == 1
     assert comb.as_fraction("2/7") == Fraction(2, 7)
+
+
+@pytest.mark.parametrize("x, want", [
+    (np.float64(0.3), Fraction(3, 10)),
+    (np.float32(0.5), Fraction(1, 2)),
+    (np.int64(3), Fraction(3)),
+])
+def test_fraction_conversion_of_numpy_numbers(x, want):
+    assert comb.as_fraction(x) == want
+
+
+@pytest.mark.parametrize("x", [False, True, np.False_, np.True_])
+def test_fraction_conversion_refuses_booleans(x):
+    with pytest.raises(ValueError):
+        comb.as_fraction(x)

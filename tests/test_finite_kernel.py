@@ -123,7 +123,9 @@ class TestPsi:
         # the rows themselves, grown in random steps at both ends, against
         # the residue formulas: zero and slow particles, x from below -M
         # (a > 0) through the anchor a = 0 to k = x - T = 12 (a < 0), and
-        # T = 0 at t = M - 1
+        # T = 0 at t = M - 1. A second row of each time is grown one seam
+        # at a time, above T first: x = T + M, where the recurrence first
+        # reads none of its seeds, then x = T and x = 0
         rng = random.Random(24)
         for m in range(1, 7):
             for _ in range(3):
@@ -136,13 +138,17 @@ class TestPsi:
                 for t in range(m - 1, m + 5):
                     horizon = t - m + 1
                     lo, hi = -m - 3, horizon + 12
-                    row = kern._psi1_row(t)
-                    for _ in range(4):
-                        a, b = sorted(rng.sample(range(lo, hi + 1), 2))
-                        row.span(a, b)
                     want = [psi.psi1(x, t) * kern._psi1_denominator(x, t)
                             for x in range(lo, hi + 1)]
-                    assert row.span(lo, hi) == want, (rates, t)
+                    steps = [sorted(rng.sample(range(lo, hi + 1), 2))
+                             for _ in range(4)]
+                    seams = [(x, x) for x in (horizon + m, horizon, 0)]
+                    for row, spans in ((kern._psi1_row(t), steps),
+                                       (fk._Psi1Row(kern, t), seams)):
+                        for a, b in spans:
+                            assert (row.span(a, b)
+                                    == want[a - lo:b - lo + 1]), (rates, t)
+                        assert row.span(lo, hi) == want, (rates, t)
                     want = [psi.psi2(x, t) * kern._d ** m
                             for x in range(-m, horizon + 1)]
                     assert kern._psi2_row(t) == want, (rates, t)
@@ -241,6 +247,41 @@ class TestKernelBlock:
                             enumerate(xs1), enumerate(xs2)):
                         if x2 > t2 - m + 1 and (t1 >= t2 or x1 <= t1 - m + 1):
                             assert got[i][j] == 0, (rates, t1, x1, t2, x2)
+
+    def test_two_time_windows_stay_in_their_rows(self, monkeypatch):
+        # every window of joint_probability lies at x >= 1, and the block
+        # reads Psi1 only at x >= min(xs1); a backward prefix walk asked the
+        # t=80 row down to x = -84
+        asked = []
+
+        class Spy(fk._Psi1Row):
+            def span(self, lo, hi):
+                asked.append((self.horizon, lo, hi))
+                return super().span(lo, hi)
+
+        monkeypatch.setattr(fk, "_Psi1Row", Spy)
+        fk.joint_probability([80, 100], [15, 30], (0.2,) + (0.1,) * 49)
+        assert {top for top, _, _ in asked} == {31, 51}
+        assert min(lo for _, lo, _ in asked) >= 1
+
+    def test_full_sum_is_the_free_weight(self):
+        # for t1 < t2, sum over w of Psi1(x1 - x2 + w, t1) Psi2(w, t2) is
+        # phi = C(t2 - t1, x2 - x1), the identity behind the block's one
+        # walk direction: random rational rates with a zero stay rate, x1
+        # and x2 from below -M to past their supports
+        rng = random.Random(26)
+        for m in range(1, 6):
+            rates = [Fraction(rng.randrange(den), den)
+                     for den in rng.choices(range(2, 11), k=m)]
+            rates[rng.randrange(m)] = Fraction(0)
+            psi = ResiduePsi(rates)
+            for t1, t2 in itertools.combinations(range(m - 1, m + 5), 2):
+                horizon2 = t2 - m + 1
+                for x1 in range(-m - 2, t1 - m + 4):
+                    for x2 in range(-m - 2, horizon2 + 3):
+                        total = sum(psi.psi1(x1 - x2 + w, t1) * psi.psi2(w, t2)
+                                    for w in range(-m, horizon2 + 1))
+                        assert total == phi(t1, t2, x1, x2), (rates, x1, x2)
 
     def test_psi1_calls_quadratic_in_window(self, monkeypatch):
         # the n = 45 window at M=50, t=100 needs 1.5 n^2 products; one
@@ -486,10 +527,22 @@ class TestDeterminantProperties:
         ([True], [1], (0.5,)),  # True once ran as time 1
         ([10], [True], (0.5,) * 5),
         ([10], [2], ()),  # no tagged particle
+        ([10], [2], (False, 0.5)),  # False once ran as a zero stay rate
+        ([10], [2], (np.False_, 0.5)),
+        ([10], [2], (0.5, np.True_)),
     ])
     def test_rejects_malformed_input(self, times, levels, rates):
         with pytest.raises(ValueError):
             fk.joint_probability(times, levels, rates)
+
+    @pytest.mark.parametrize("rates", [
+        np.full(5, 0.5),  # repr of np.float64 is no decimal literal
+        [np.float64(0.5)] * 5,
+        np.full(5, 0.5, dtype=np.float32),
+    ])
+    def test_accepts_numpy_floats(self, rates):
+        want = fk.joint_probability([10], [3], (0.5,) * 5, exact=True)
+        assert fk.joint_probability([10], [3], rates, exact=True) == want
 
     def test_accepts_numpy_integers(self):
         rates = (Fraction(1, 2),) * 5

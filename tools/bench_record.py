@@ -44,9 +44,12 @@ that checkout's `src/`:
 - the exact law's layer: the milliseconds per cold
   `joint_probability([100], [45], (0.5,) * 50)` and per two-time
   `joint_probability([80, 100], [15, 30], (0.2,) + (0.1,) * 49)`, each
-  building its own kernel, and the seconds for the full M=100, t=200
+  building its own kernel, the seconds for the full M=100, t=200
   column (levels 1..101 at q=0.1 with one slow particle at 0.2) on one
-  kernel, each the median of LAYER_REPEATS calls.
+  kernel, and the seconds for a fresh kernel's t=3000 Psi1 row at those
+  rates (M=100), built and grown over its first 600 values from T up,
+  `_psi1_row(3000).span(T, T + 599)`, each the median of LAYER_REPEATS
+  calls.
 Standard library only.
 """
 
@@ -69,8 +72,8 @@ TRACED_RUNS = 3
 # and the wall seconds and process count of its sample_ensemble call,
 # "airy_pair" to its two per-point costs, each law to ms_at_0,
 # "combinatorial_suite" to ms_per_call, "region1_prob" to its two
-# per-call costs and "finite_kernel" to its two per-call costs and the
-# column's seconds.
+# per-call costs and "finite_kernel" to its two per-call costs, the
+# column's seconds and the t=3000 Psi1 row's seconds.
 LAYER_PROBE = """
 import json, statistics, sys, time
 sys.path.insert(0, "src")
@@ -168,13 +171,20 @@ def column():
         finite_kernel.joint_probability([200], [level], kern)
 
 
+def psi1_row():
+    top = finite_kernel.max_level(3000, 100)
+    kern = finite_kernel.FiniteKernel((0.2,) + (0.1,) * 99)
+    kern._psi1_row(3000).span(top, top + 599)
+
+
 out["finite_kernel"] = {
     "cold_ell_45_ms": 1e3 * median_time(
         lambda: finite_kernel.joint_probability([100], [45], (0.5,) * 50)),
     "two_time_ell_15_30_ms": 1e3 * median_time(
         lambda: finite_kernel.joint_probability(
             [80, 100], [15, 30], (0.2,) + (0.1,) * 49)),
-    "column_m100_t200_s": median_time(column)}
+    "column_m100_t200_s": median_time(column),
+    "psi1_row_t3000_600_s": median_time(psi1_row)}
 print(json.dumps(out))
 """
 
